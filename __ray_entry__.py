@@ -1008,7 +1008,7 @@ def q_key_skew_profile(sf_dir: str):
     n_keys, max, top-10 share, exact nearest-rank count quantiles and
     the integer Gini coefficient in one row (stages/skewprof.py). The
     pre-shuffle diagnostic that decides whether a key needs
-    stages/salting.py. Map-side partial counts, key-space-bounded
+    salting. Map-side partial counts, key-space-bounded
     final. Value-exact."""
     import ray.data as rd
 
@@ -2605,13 +2605,12 @@ def q_cell_density(sf_dir: str):
 
 
 def q_salted_tile_summary(sf_dir: str):
-    """Skew-salted per-tile aggregation (hot tiles split + merged);
-    must equal the plain per-tile summary (oracle-checked)."""
-    from lasutility_ray.stages.salting import salted_tin_tiles
+    """Per-tile summary through the int64 ``tile_key`` shuffle (the
+    flagship's key; names rebuilt once per group); must equal the
+    plain per-tile summary (oracle-checked)."""
+    from lasutility_ray.stages.tin import tin_tiles
 
-    out = salted_tin_tiles(
-        _points(sf_dir), threshold=20, include_rasters=False, exact=True
-    )
+    out = tin_tiles(_points(sf_dir), include_rasters=False, key_col="tile_key")
     return out.select_columns(["tile_id", "n_points", "n_ground"])
 
 

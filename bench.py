@@ -33,7 +33,7 @@ import time
 
 def run_flagship(n_docs: int, out_dir: str, resume: bool = False) -> dict:
     """Flagship: synth pages -> extract-check -> geocode/tile -> slim
-    points PARQUET checkpoint -> (broadcast PIP join || salted,
+    points PARQUET checkpoint -> (broadcast PIP join || per-tile,
     manifest-committed TIN rasterization).
 
     The points table is checkpointed to partitioned parquet (one file
@@ -48,7 +48,7 @@ def run_flagship(n_docs: int, out_dir: str, resume: bool = False) -> dict:
 
     from lasutility_ray.corpus.pages import synth_pages_batch
     from lasutility_ray.corpus.polygons import build_feature_table
-    from lasutility_ray.state.manifest import resumable_salted_tin_tiles
+    from lasutility_ray.state.manifest import resumable_tin_tiles
     from lasutility_ray.stages.pip_join import rect_pip_join
     from lasutility_ray.stages.tiling import points_dataset
 
@@ -152,19 +152,10 @@ def run_flagship(n_docs: int, out_dir: str, resume: bool = False) -> dict:
     th = threading.Thread(target=run_pip)
     th.start()
 
-    # exact salting (hot urban tiles: one TIN build, split raster
-    # windows — bit-identical to unsalted and measured fastest; the
-    # certified-halo path stays available for extreme skew) + per-tile
-    # atomic manifest commits
-    # split threshold = the straggler criterion: building one tile in
-    # one task only hurts wall time when that tile exceeds a per-CPU
-    # share of the whole job, so hot = n_tile > total/(2*ncpu). The
-    # fixed default (4000) marks EVERY tile of a uniform corpus hot
-    # and pays TIN-blob serialization for no wall-time gain.
-    manifest = resumable_salted_tin_tiles(
-        points, out_dir, exact=True, concurrency=max(2, ncpu // 4),
-        key_col="tile_key", threshold=max(20_000, n_docs // (2 * ncpu)),
-        build=os.environ.get("GRAFT_TIN_BUILD", "merge"),
+    # one tile_key shuffle, every tile (hot ones too) built whole in
+    # its group, each committed atomically with a manifest row
+    manifest = resumable_tin_tiles(
+        points, out_dir, concurrency=max(2, ncpu // 4), key_col="tile_key"
     )
     th.join()
     dt = time.perf_counter() - t0

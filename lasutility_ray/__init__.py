@@ -35,7 +35,6 @@ _PUBLIC = {
     "points_dataset": ("lasutility_ray.stages.tiling", "points_dataset"),
     "tin_tiles": ("lasutility_ray.stages.tin", "tin_tiles"),
     "tin_triangles": ("lasutility_ray.stages.tin", "tin_triangles"),
-    "salted_tin_tiles": ("lasutility_ray.stages.salting", "salted_tin_tiles"),
     "burned_tiles": ("lasutility_ray.stages.pip_join", "burned_tiles"),
     "rect_pip_join": ("lasutility_ray.stages.pip_join", "rect_pip_join"),
     "polygon_pip_join": ("lasutility_ray.stages.pip_join", "polygon_pip_join"),

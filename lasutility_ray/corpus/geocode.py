@@ -4,7 +4,7 @@ Every page is geocoded to a synthetic ETRS-TM35FIN point inside a
 compact 24x24 km work area (the reference processes one municipality
 of 1 km blocks at a time, ``Nls/PointCloud05p.cs:74-88``); a fixed
 30% of docs are concentrated into 4 "urban" 1 km tiles to exercise
-skew salting (SURVEY.md §4).
+key skew (SURVEY.md §4).
 
 All formulas are exact int64 / IEEE-float64 arithmetic reproducible
 in DuckDB SQL — ``sql_exprs()`` returns the mirroring SQL snippets so

@@ -334,6 +334,8 @@ def _decode_jpeg(data: bytes, max_pixels: int) -> np.ndarray:
     while pos + 4 <= len(data):
         if data[pos] != 0xFF:
             raise JpegError(f"marker expected at {pos}")
+        while pos + 1 < len(data) and data[pos + 1] == 0xFF:
+            pos += 1  # fill bytes before a marker (T.81 B.1.1.2)
         marker = data[pos + 1]
         pos += 2
         if marker == 0xD9:  # EOI
@@ -450,8 +452,10 @@ def _entropy_segments(data: bytes, pos: int) -> list[bytes]:
     """Pre-process the baseline entropy-coded data starting at
     ``pos``: collapse every 0xFF00 byte-stuffing to 0xFF and split at
     RSTn markers, so the decode loop sees plain marker-free byte runs
-    and never tests for 0xFF per byte. One pass over the (sparse)
-    0xFF positions only — numpy finds them, Python walks them."""
+    and never tests for 0xFF per byte. A run of 0xFF fill bytes
+    (T.81 B.1.1.2) counts as one 0xFF before the byte that follows
+    it. One pass over the (sparse) 0xFF positions only — numpy finds
+    them, Python walks them."""
     arr = np.frombuffer(data, np.uint8)
     n = len(data)
     segs: list[bytes] = []
@@ -460,15 +464,18 @@ def _entropy_segments(data: bytes, pos: int) -> list[bytes]:
     for f in np.flatnonzero(arr[pos:] == 0xFF) + pos:
         if f < prev:  # consumed by a previous 2-byte skip
             continue
-        nxt = data[f + 1] if f + 1 < n else None
+        j = f + 1
+        while j < n and data[j] == 0xFF:
+            j += 1
+        nxt = data[j] if j < n else None
         if nxt == 0x00:  # stuffed data byte: keep FF, drop 00
             parts.append(data[prev : f + 1])
-            prev = f + 2
+            prev = j + 1
         elif nxt is not None and 0xD0 <= nxt <= 0xD7:  # RSTn
             parts.append(data[prev:f])
             segs.append(b"".join(parts))
             parts = []
-            prev = f + 2
+            prev = j + 1
         else:  # EOI / next marker: entropy data ends
             parts.append(data[prev:f])
             segs.append(b"".join(parts))

@@ -71,21 +71,6 @@ class SurfaceTriangulation:
         self._tris = d.triangles.reshape(-1, 3)
         self._build_grid_index()
 
-    def set_triangulation(self, tris, cell_starts=None, cell_tris=None):
-        """Adopt a PRE-BUILT triangulation (and optionally its grid
-        index) instead of running Delaunay — the build-once /
-        rasterize-split path of ``stages/salting.py``: one task builds
-        the hot tile's TIN, the window tasks re-hydrate it from blobs
-        and only rasterize their own window. ``tris`` is (n_tri, 3)
-        vertex indices in tri-id order; the index, when given, must be
-        the CSR pair from ``_build_grid_index`` over ``self.bounds``."""
-        self._tris = np.ascontiguousarray(tris, dtype=np.int64).reshape(-1, 3)
-        if cell_starts is not None and cell_tris is not None:
-            self._cell_starts = np.ascontiguousarray(cell_starts, dtype=np.int64)
-            self._cell_tris = np.ascontiguousarray(cell_tris, dtype=np.int64)
-        else:
-            self._build_grid_index()
-
     def triangle_count(self) -> int:
         if self._tris is None:
             raise ValueError("Triangulation is not created.")
@@ -232,7 +217,6 @@ class SurfaceTriangulation:
         dem: np.ndarray,
         locked_cells: np.ndarray | None = None,
         classification_raster: np.ndarray | None = None,
-        out_tri: np.ndarray | None = None,
     ) -> None:
         """Triangle-push fill of ``dem`` (float32 (rows, cols)).
 
@@ -240,10 +224,7 @@ class SurfaceTriangulation:
         incremental-update contract (Triangulation.cs:275-276).
         ``classification_raster`` (uint8) gets the nearest-vertex class
         per covered cell (the "Classification" byte metadata channel,
-        Triangulation.cs:292-293). ``out_tri`` (int32, same shape)
-        receives each written cell's winning triangle id — the hook
-        the certificate-based exact halo mode uses to test Delaunay
-        locality per cell (stages/salting.py).
+        Triangulation.cs:292-293).
         """
         if self._tris is None:
             raise ValueError("Triangulation is not created.")
@@ -326,8 +307,6 @@ class SurfaceTriangulation:
         h = l1[win] * z0[wg] + l2[win] * z1[wg] + l3[win] * z2[wg]
         wr, wc = rr[win], cc[win]
         dem[wr, wc] = h.astype(np.float32)
-        if out_tri is not None:
-            out_tri[wr, wc] = wg.astype(np.int32)
 
         if classification_raster is not None:
             classification_raster[wr, wc] = _closest_class(

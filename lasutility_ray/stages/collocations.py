@@ -15,7 +15,8 @@ marginals (sum of c_ab over the second / first slot) and N the total
 pair count. The SQL mirror evaluates the SAME staged expression.
 Overflow contract: c_ab * N * 1e6 must stay under 2^63 — holds to
 ~N = 3e3 * c_ab-max; at larger corpora drop the 1e6 scale (ordering
-is preserved; asserted in the kernel).
+is preserved). ``lift_e6`` checks the operands before it multiplies
+and raises ``OverflowError`` instead of wrapping.
 
 Shape (100 TB): per-batch pair partials collapse each batch to its
 distinct-pair space before ONE groupby shuffle; the marginals are two
@@ -36,6 +37,24 @@ import pyarrow as pa
 from .lm import TOKEN_RE
 
 SCALE = 1_000_000
+_I64_MAX = (1 << 63) - 1
+
+
+def lift_e6(c_ab: np.ndarray, c_a: np.ndarray, c_b: np.ndarray, n_tot: int) -> np.ndarray:
+    """``(c_ab * n_tot * SCALE) // (c_a * c_b)`` in int64. The bounds
+    are checked in python ints BEFORE any numpy multiply, so a
+    too-large corpus raises ``OverflowError`` rather than silently
+    wrapping (and the check survives ``python -O``)."""
+    c_ab = np.asarray(c_ab, dtype=np.int64)
+    c_a = np.asarray(c_a, dtype=np.int64)
+    c_b = np.asarray(c_b, dtype=np.int64)
+    n_tot = int(n_tot)
+    if len(c_ab):
+        if int(c_ab.max()) * n_tot > _I64_MAX // SCALE:
+            raise OverflowError("lift_e6 overflow: drop SCALE at this corpus size")
+        if int(c_a.max()) * int(c_b.max()) > _I64_MAX:
+            raise OverflowError("lift_e6 overflow: marginal product exceeds int64")
+    return (c_ab * np.int64(n_tot) * np.int64(SCALE)) // (c_a * c_b)
 
 
 def _pair_partial(t: pa.Table, pat) -> pa.Table:
@@ -135,13 +154,7 @@ def collocations(docs_ds, k: int = 25, min_count: int = 5,
             c_b = cab_l.groupby("b", sort=False)["c_ab"].transform("sum").to_numpy()
             c_ab_v = cab_l["c_ab"].to_numpy().astype(np.int64)
             keep = c_ab_v >= min_count_
-            num = c_ab_v[keep] * n_tot
-            assert (
-                not len(num) or num.max() <= (2**63 - 1) // SCALE
-            ), "lift_e6 overflow: drop SCALE at this corpus size"
-            lift = (num * np.int64(SCALE)) // (
-                c_a[keep].astype(np.int64) * c_b[keep].astype(np.int64)
-            )
+            lift = lift_e6(c_ab_v[keep], c_a[keep], c_b[keep], n_tot)
             out = pd.DataFrame(
                 {
                     "a": cab_l["a"].to_numpy()[keep],
@@ -182,11 +195,7 @@ def collocations(docs_ds, k: int = 25, min_count: int = 5,
         c_ab = c_ab[keep]
         c_a = t.column("c_a").to_numpy(zero_copy_only=False).astype(np.int64)[keep]
         c_b = t.column("c_b").to_numpy(zero_copy_only=False).astype(np.int64)[keep]
-        num = c_ab * np.int64(n_total)
-        assert (
-            not len(num) or num.max() <= (2**63 - 1) // SCALE
-        ), "lift_e6 overflow: drop SCALE at this corpus size"
-        lift = (num * np.int64(SCALE)) // (c_a * c_b)
+        lift = lift_e6(c_ab, c_a, c_b, n_total)
         df = pd.DataFrame(
             {
                 "a": t.column("a").to_pandas()[keep].to_numpy(dtype=object),

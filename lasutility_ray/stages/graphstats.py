@@ -173,7 +173,7 @@ def two_hop_sizes(docs_ds, local_edge_limit: int | None = None):
     host-pair space); friends-of-friends is ONE many-to-many
     ``lookup_join`` of the edge table against itself (fan-out =
     neighbor degree, bounded by the degree cap of real host graphs —
-    salt supernodes per stages/salting.py if not); the union of 1-hop
+    salt supernodes if not); the union of 1-hop
     and 2-hop rows collapses through a coarse-bucket distinct before
     one single-key count. No multi-key aggregate anywhere. Below
     ``local_edge_limit`` symmetric edges (graph.py

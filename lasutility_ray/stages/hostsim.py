@@ -20,9 +20,8 @@ At 100 TB the (host, shingle) explode is the only corpus-wide stage
 (slim int64 rows, one host-keyed shuffle); everything after runs on
 the host-bounded vocab table. Per-host vocab saturates (natural-
 language shingle growth is sublinear per domain); a pathological
-host whose vocab exceeds a blob budget would need the tilenamer-style
-split documented in stages/salting.py — the fixture pins the common
-path. Reference parity: the host profile idea extends the reference's
+host whose vocab exceeds a blob budget would need a tilenamer-style
+sub-key split — the fixture pins the common path. Reference parity: the host profile idea extends the reference's
 per-tile content summaries (LasUtility tile statistics) to
 lexical host fingerprints."""
 

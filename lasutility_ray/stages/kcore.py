@@ -231,8 +231,7 @@ def cocitation_pairs(docs_ds, min_common: int = CO_MIN_COMMON):
 
     Shape: one apex-bucket shuffle emits each apex's neighbor PAIRS
     (the wedge explode — volume sum C(deg, 2); a hub-heavy graph
-    needs the degree-cap salting of stages/salting.py, documented not
-    automated), then the pair-bucket count + threshold. All wedges of
+    needs degree-cap salting, documented not automated), then the pair-bucket count + threshold. All wedges of
     an apex stay in one bucket (bucket = f(apex)), so the count is
     exact."""
     from .cogroup import default_n_buckets

@@ -1,6 +1,6 @@
 """Key-distribution skew profiler — the diagnostic that tells a
 pipeline author whether a planned groupby/join key needs salting
-(stages/salting.py) BEFORE the shuffle runs.
+(e.g. ``cogroup.lookup_join``'s ``n_salt``) BEFORE the shuffle runs.
 
 Profiles the distribution of per-key row counts for any integer key
 and emits one row of integerized statistics, all value-exact vs the

@@ -1,11 +1,18 @@
 """Per-tile TIN construction + DEM rasterization + gap fill — the
 flagship wide step (SURVEY.md §3.1/§3.3 Ray shape).
 
-``points.groupby("tile_id").map_groups(rasterize_tile)``: state (the
+``points.groupby(key_col).map_groups(rasterize_tile)``: state (the
 Delaunay TIN, the voxel bins) is group-local and dies with the group;
 nothing crosses the object store except the input rows and the
 per-tile output row (tile summary + raster blobs). One shuffle, key
-= 1 km tile name.
+= the 1 km tile: its name (``key_col="tile_id"``, default) or the
+int64 packed ``tile_key`` (``key_col="tile_key"``, the flagship's
+choice — int keys shuffle and group much faster than strings; the
+name is rebuilt once per group). Hot tiles are built whole in their
+group, so each tile is one task and the largest tile bounds the
+stage's wall at any CPU count: bench.py's 12M-doc corpus has two
+1.2M-point urban tiles, one ~45 s single-task build each on one vCPU
+(CHANGES.md records this known cost).
 
 Per tile (mirrors flows A+C, Triangulation.Tests.cs:15-70 /
 VoxelGrid.Tests.cs:52-101):
@@ -81,15 +88,24 @@ def rasterize_tile(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def tin_tiles(points_ds, include_rasters: bool = True):
+def tin_tiles(points_ds, include_rasters: bool = True, key_col: str = "tile_id"):
     """points -> one row per tile. Set ``include_rasters=False`` for
-    summary-only outputs (oracle checks). Runs through the coarse-
-    bucket co-group (one int-key sort + in-bucket pandas groupby) —
-    Ray's native per-group map_groups dispatch costs ~10s of pure
-    overhead at a few hundred tiles x millions of rows."""
+    summary-only outputs (oracle checks). ``key_col`` is the shuffle
+    key: ``"tile_id"`` (string name) or ``"tile_key"`` (int64 packed
+    key; the input then needs no ``tile_id`` column). Runs through the
+    coarse-bucket co-group (one int-key sort + in-bucket pandas
+    groupby) — Ray's native per-group map_groups dispatch costs ~10s
+    of pure overhead at a few hundred tiles x millions of rows."""
     from .cogroup import group_apply_bucketed
+    from .tiling import tile_key_to_name
 
-    out = group_apply_bucketed(points_ds, "tile_id", rasterize_tile)
+    def keyed(group: pd.DataFrame) -> pd.DataFrame:
+        # the tile name is rebuilt once per group, never per row
+        name = tile_key_to_name(group[key_col].iloc[0])
+        return rasterize_tile(group.assign(tile_id=name))
+
+    fn = rasterize_tile if key_col == "tile_id" else keyed
+    out = group_apply_bucketed(points_ds, key_col, fn)
     if not include_rasters:
         out = out.drop_columns(["dem", "classification_raster"])
     return out

@@ -444,6 +444,11 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
     salting the join needed. Two slim exchanges total (winner bucket
     + doc-reassembly bucket); text lines move once each way, never
     whole documents."""
+    from .cogroup import _bucket_of, default_n_buckets
+
+    # fixed once on the driver: both exchanges use it, and a batch fn
+    # must not ask the cluster for its size on every call
+    n_buckets = default_n_buckets()
 
     def explode_combine(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -470,9 +475,6 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
             df = df.loc[df.groupby("line", sort=False)["packed"].idxmin()]
         # deterministic line-hash bucket (co-location only — which
         # bucket a line lands in never affects the result)
-        from .cogroup import default_n_buckets
-
-        nb = default_n_buckets()
         h = pd.util.hash_pandas_object(df["line"], index=False).to_numpy()
         return pa.table(
             {
@@ -481,7 +483,7 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
                 "line": pa.array(df["line"].to_numpy(), pa.string()),
                 "packed": pa.array(df["packed"].to_numpy(), pa.int64()),
                 "__wb": pa.array(
-                    (h % np.uint64(nb)).astype(np.int64), pa.int64()
+                    (h % np.uint64(n_buckets)).astype(np.int64), pa.int64()
                 ),
             }
         )
@@ -499,10 +501,6 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
     # reassembly shuffles on a coarse doc-hash bucket (one python group
     # per BUCKET, C-speed inner groupby) — a per-doc map_groups would
     # make millions of 1-row python groups at corpus scale
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
     def add_bucket(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy()
         return t.append_column("__b", pa.array(_bucket_of(ids, n_buckets)))

@@ -236,17 +236,30 @@ def resumable_tiles(
     return manifest_table(out_dir)
 
 
-def resumable_tin_tiles(points_ds, out_dir: str, concurrency: int = 4):
+def resumable_tin_tiles(
+    points_ds, out_dir: str, concurrency: int = 4, key_col: str = "tile_id"
+):
     """Checkpointed flagship wide step: per-tile TIN+DEM rasterization
-    (stages.tin.rasterize_tile), each tile committed atomically with
-    a lineage/metrics manifest row; resume skips finished tiles."""
+    (stages.tin.tin_tiles), each tile committed atomically with a
+    lineage/metrics manifest row; resume skips finished tiles.
+
+    ``key_col="tile_key"`` shuffles on the int64 packed tile key
+    instead of the string name (manifest keys stay string names; the
+    resume filter translates them to keys)."""
     from ..stages.tin import tin_tiles
 
+    done_translate = None
+    if key_col != "tile_id":
+        from ..stages.tiling import name_to_tile_key
+
+        done_translate = name_to_tile_key
     return resumable_tiles(
         points_ds,
         out_dir,
-        lambda pending: tin_tiles(pending, include_rasters=True),
+        lambda pending: tin_tiles(pending, include_rasters=True, key_col=key_col),
         concurrency=concurrency,
+        pending_key_col=key_col,
+        done_translate=done_translate,
     )
 
 
@@ -262,33 +275,15 @@ def resumable_burned_tiles(features_by_tile_ds, out_dir: str, concurrency: int =
 
 
 def resumable_salted_tin_tiles(
-    points_ds, out_dir: str, threshold: int = 4000, concurrency: int = 4,
-    exact: bool = True, key_col: str = "tile_id", build: str = "merge",
+    points_ds, out_dir: str, threshold: int | None = None, concurrency: int = 4,
+    exact: bool = True, key_col: str = "tile_id",
 ):
-    """Skew-salted AND checkpointed: the hot-tile split happens inside
-    the pending computation; commits stay at tile granularity, so
-    resume semantics are identical to the unsalted path.
-
-    ``key_col="tile_key"`` shuffles on the int64 packed tile key
-    instead of the string name (manifest keys stay string names; the
-    resume filter translates them)."""
-    from ..stages.salting import salted_tin_tiles
-
-    done_translate = None
-    if key_col != "tile_id":
-        from ..stages.tiling import name_to_tile_key
-
-        done_translate = name_to_tile_key
-    return resumable_tiles(
-        points_ds,
-        out_dir,
-        lambda pending: salted_tin_tiles(
-            pending, threshold=threshold, include_rasters=True, exact=exact,
-            key_col=key_col, build=build,
-        ),
-        concurrency=concurrency,
-        pending_key_col=key_col,
-        done_translate=done_translate,
+    """Old name of :func:`resumable_tin_tiles`. ``threshold`` and
+    ``exact`` are ignored: every tile is built whole, so the output is
+    exact either way. Kept only because ``perfbench/workloads.py``
+    still calls it; delete it once that call moves."""
+    return resumable_tin_tiles(
+        points_ds, out_dir, concurrency=concurrency, key_col=key_col
     )
 
 

@@ -25,7 +25,6 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf-dir", default="/root/testdata/sf0.01")
     ap.add_argument("--out-dir", default="/tmp/flagship_job_out")
-    ap.add_argument("--salt-threshold", type=int, default=4000)
     ap.add_argument("--num-cpus", type=int, default=None,
                     help="local-mode CPU cap (ignored on a cluster)")
     args = ap.parse_args()
@@ -46,18 +45,15 @@ def main() -> None:
     from lasutility_ray.corpus.polygons import build_feature_table
     from lasutility_ray.pipelines.flagship import documents_to_points
     from lasutility_ray.stages.pip_join import rect_pip_join
-    from lasutility_ray.state.manifest import resumable_salted_tin_tiles
+    from lasutility_ray.state.manifest import resumable_tin_tiles
 
     t0 = time.perf_counter()
     points = documents_to_points(args.sf_dir)
     pip_rows = rect_pip_join(points, build_feature_table()).count()
-    # exact salted mode (build-once/rasterize-split): bit-identical to
-    # the unsalted path, hot tiles no longer straggle the stage
-    manifest = resumable_salted_tin_tiles(
-        documents_to_points(args.sf_dir),
-        args.out_dir,
-        threshold=args.salt_threshold,
-        exact=True,
+    # one shuffle on the int64 tile key; each tile's TIN is built
+    # whole in its group and committed with a manifest row
+    manifest = resumable_tin_tiles(
+        documents_to_points(args.sf_dir), args.out_dir, key_col="tile_key"
     )
     print(
         json.dumps(

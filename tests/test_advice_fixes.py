@@ -1,8 +1,5 @@
 """Regression tests for the round-1 ADVICE findings.
 
-- salting level-3 window/cell mismatch (high): windows must be
-  cell-aligned at every split level, incl. n_sub that does not divide
-  CELLS_PER_EDGE;
 - _simhash_batch IndexError on trailing empty docs (medium);
 - HLL string hashing must use full content, not a 16-byte prefix (low);
 - LAZ chunk_size <= 0 must not hang (low);
@@ -12,69 +9,10 @@
 import struct
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 
 import ray.data as rd
-
-from lasutility_ray.stages.salting import (
-    CELLS_PER_EDGE,
-    _win_bound,
-    _win_of_cell,
-    salt_levels,
-    salted_tin_tiles,
-    tile_count_partials,
-)
-from lasutility_ray.stages.tiling import points_dataset
-from lasutility_ray.stages.tin import tin_tiles
-
-
-# ------------------------------------------------- salting level 3
-
-
-def test_window_bounds_tile_the_cell_grid_exactly():
-    """For every level the windows partition [0, CELLS_PER_EDGE) and
-    _win_of_cell is the exact inverse of _win_bound."""
-    for level in range(0, 5):
-        n_sub = 1 << level
-        bounds = [_win_bound(i, n_sub) for i in range(n_sub + 1)]
-        assert bounds[0] == 0 and bounds[-1] == CELLS_PER_EDGE
-        assert all(b1 > b0 for b0, b1 in zip(bounds, bounds[1:]))
-        for cell in range(CELLS_PER_EDGE):
-            w = _win_of_cell(cell, n_sub)
-            assert bounds[w] <= cell < bounds[w + 1]
-
-
-def test_level3_halo_mode_not_corrupt(ray_session):
-    """ADVICE high: at MAX_LEVEL=3 (n_sub=8, 100 cells) the old code
-    rasterized 125 m envelopes but pasted at 120 m cell offsets,
-    leaving 98%+ of DEM cells wrong. With cell-aligned windows the
-    halo-mode deviation must stay inside the documented sliver bound."""
-    pts = points_dataset(rd.range(60_000), doc_col="id")
-    counts = tile_count_partials(pts)
-    levels = salt_levels(counts, threshold=300)
-    assert max(levels.values()) == 3, "fixture must actually exercise level 3"
-
-    plain = (
-        tin_tiles(pts, include_rasters=True).to_pandas().set_index("tile_id").sort_index()
-    )
-    salted = (
-        salted_tin_tiles(pts, threshold=300, halo_m=100.0, include_rasters=True, exact=False)
-        .to_pandas()
-        .set_index("tile_id")
-        .sort_index()
-    )
-    assert list(plain.index) == list(salted.index)
-    total = bad = 0
-    for tid in plain.index:
-        assert plain.loc[tid, "n_points"] == salted.loc[tid, "n_points"], tid
-        p = np.frombuffer(plain.loc[tid, "dem"], dtype=np.float32)
-        s = np.frombuffer(salted.loc[tid, "dem"], dtype=np.float32)
-        neq = ~((p == s) | (np.isnan(p) & np.isnan(s)))
-        total += len(p)
-        bad += int(neq.sum())
-    assert bad / total < 0.005, f"level-3 halo deviates on {bad}/{total} cells"
 
 
 # ------------------------------------------------- simhash empties

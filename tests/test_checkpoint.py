@@ -125,9 +125,9 @@ def test_orphan_tmp_files_swept(out_dir, ray_session):
 
 
 def test_resumable_salted_equals_plain(out_dir, ray_session):
-    """Checkpointing composes with salting: same committed tiles and
-    metrics as the unsalted resumable path (exact replicate-build
-    mode), and resume is still a no-op."""
+    """The old ``resumable_salted_tin_tiles`` name forwards to
+    ``resumable_tin_tiles`` (its ``threshold`` is ignored): same
+    committed tiles and metrics, and resume is still a no-op."""
     from lasutility_ray.state import resumable_salted_tin_tiles
 
     m1 = resumable_tin_tiles(_points(), out_dir + "_plain")
@@ -135,7 +135,7 @@ def test_resumable_salted_equals_plain(out_dir, ray_session):
     a = m1.to_pandas().set_index("key").sort_index()
     b = m2.to_pandas().set_index("key").sort_index()
     assert list(a.index) == list(b.index)
-    for col in ("n_points", "missing_before", "missing_after"):
+    for col in ("n_points", "missing_before", "missing_after", "content_hash"):
         assert (a[col] == b[col]).all(), col
     m3 = resumable_salted_tin_tiles(_points(), out_dir, threshold=2)
     assert m3.num_rows == m2.num_rows
@@ -174,18 +174,17 @@ def test_resumable_burned_tiles(out_dir, ray_session):
 
 
 def test_salted_exact_resume_matches_unsalted(out_dir, ray_session):
-    """resumable_salted_tin_tiles (exact build-once mode): a partial
-    manifest resumes to the full tile set and the committed outputs
-    equal the unsalted per-tile path bit-for-bit."""
+    """resumable_tin_tiles on the int64 tile_key: a partial manifest
+    resumes to the full tile set and the committed outputs equal the
+    string-keyed per-tile path bit-for-bit."""
     import os
 
     import numpy as np
 
-    from lasutility_ray.state.manifest import resumable_salted_tin_tiles
     from lasutility_ray.stages.tin import tin_tiles
 
-    pts = _points()
-    m1 = resumable_salted_tin_tiles(pts, out_dir, threshold=50, exact=True)
+    pts = _points().drop_columns(["tile_id"])
+    m1 = resumable_tin_tiles(pts, out_dir, key_col="tile_key")
     assert m1.num_rows > 0
 
     # drop a third of the manifest rows -> only those tiles recompute
@@ -193,11 +192,11 @@ def test_salted_exact_resume_matches_unsalted(out_dir, ray_session):
     victims = sorted(os.listdir(mdir))[:: 3]
     for f in victims:
         os.remove(os.path.join(mdir, f))
-    m2 = resumable_salted_tin_tiles(pts, out_dir, threshold=50, exact=True)
+    m2 = resumable_tin_tiles(pts, out_dir, key_col="tile_key")
     assert m2.num_rows == m1.num_rows
     assert set(m2.column("key").to_pylist()) == set(m1.column("key").to_pylist())
 
-    # committed tile outputs == unsalted rasterization, byte for byte
+    # committed tile outputs == string-keyed rasterization, byte for byte
     import pyarrow.parquet as pq
 
     plain = tin_tiles(_points(), include_rasters=True).to_pandas().set_index("tile_id")
@@ -259,11 +258,6 @@ def test_tile_key_resume_matches_string_key(out_dir, ray_session):
     only the pending tiles."""
     import pandas as pd
 
-    from lasutility_ray.state.manifest import (
-        manifest_table,
-        resumable_salted_tin_tiles,
-    )
-
     pts_cols = [
         "doc_id", "x", "y", "z", "classification", "is_ground",
         "tile_id", "tile_key",
@@ -271,10 +265,9 @@ def test_tile_key_resume_matches_string_key(out_dir, ray_session):
     pts = _points().select_columns(pts_cols)
 
     str_dir, key_dir = out_dir + "_s", out_dir + "_k"
-    m_s = resumable_salted_tin_tiles(pts, str_dir, threshold=50, exact=True)
-    m_k = resumable_salted_tin_tiles(
-        pts.drop_columns(["tile_id"]), key_dir, threshold=50, exact=True,
-        key_col="tile_key",
+    m_s = resumable_tin_tiles(pts, str_dir)
+    m_k = resumable_tin_tiles(
+        pts.drop_columns(["tile_id"]), key_dir, key_col="tile_key"
     )
     a = m_s.to_pandas().sort_values("key").reset_index(drop=True)
     b = m_k.to_pandas().sort_values("key").reset_index(drop=True)
@@ -293,9 +286,8 @@ def test_tile_key_resume_matches_string_key(out_dir, ray_session):
         os.remove(os.path.join(key_dir, "_manifest", f"{k}.parquet"))
         os.remove(os.path.join(key_dir, "tiles", f"{k}.parquet"))
     assert len(finished_keys(key_dir)) == len(keys) - len(drop)
-    m_k2 = resumable_salted_tin_tiles(
-        pts.drop_columns(["tile_id"]), key_dir, threshold=50, exact=True,
-        key_col="tile_key",
+    m_k2 = resumable_tin_tiles(
+        pts.drop_columns(["tile_id"]), key_dir, key_col="tile_key"
     )
     b2 = m_k2.to_pandas().sort_values("key").reset_index(drop=True)
     assert sorted(b2["key"]) == keys

@@ -10,7 +10,7 @@ This is the process-kill generalization of
 tests/test_checkpoint.py's simulated-partial-run cases — nothing is
 staged: the child is the same ``bench.run_flagship`` code path the
 benchmark artifact measures (synth pages -> extract-check -> points
-checkpoint -> concurrent PIP join + salted manifest-committed TIN),
+checkpoint -> concurrent PIP join + manifest-committed per-tile TIN),
 killed with SIGKILL while tiles are streaming into the manifest.
 
 Scale note: the suite runs the child at GRAFT_KILLTEST_DOCS

@@ -135,6 +135,64 @@ def test_error_paths():
         encode_jpeg(img.astype(np.int32))
 
 
+def _segments(jpg: bytes):
+    """Split a baseline JPEG into its marker segments up to and
+    including SOS, plus the entropy-coded bytes before EOI."""
+    import struct
+
+    segs, pos = [], 2
+    while True:
+        (seglen,) = struct.unpack_from(">H", jpg, pos + 2)
+        segs.append(jpg[pos : pos + 2 + seglen])
+        pos += 2 + seglen
+        if segs[-1][1] == 0xDA:
+            return segs, jpg[pos:-2]
+
+
+def _restart_jpeg(img: np.ndarray, fill: bytes = b"") -> bytes:
+    """A grey JPEG with one restart interval per MCU row, from the
+    engine's encoder: each 8-px strip is encoded on its own (its DC
+    prediction starts at 0, exactly as after an RSTn) and the strips'
+    entropy data is joined with RST0, RST1, ... under the full image's
+    headers plus a DRI. ``fill`` goes before every RSTn, DQT and EOI."""
+    import struct
+
+    segs, _ = _segments(encode_jpeg(img, quality=90))
+    rows = [
+        _segments(encode_jpeg(img[r : r + 8], quality=90))[1]
+        for r in range(0, img.shape[0], 8)
+    ]
+    mcus_per_row = -(-img.shape[1] // 8)
+    out = b"\xff\xd8"
+    for seg in segs:
+        if seg[1] == 0xDB:
+            out += fill
+        if seg[1] == 0xDA:
+            out += b"\xff\xdd" + struct.pack(">HH", 4, mcus_per_row)
+        out += seg
+    for i, row in enumerate(rows):
+        if i:
+            out += fill + bytes([0xFF, 0xD0 + (i - 1) % 8])
+        out += row
+    return out + fill + b"\xff\xd9"
+
+
+def test_fill_bytes_before_markers_decode():
+    """Runs of 0xFF fill bytes are legal before any marker (T.81
+    B.1.1.2): before RSTn, DQT and EOI they decode to the same pixels
+    as the stream without them."""
+    yy, xx = np.mgrid[0:80, 0:40]
+    img = ((xx * 5 + yy * 3) % 256).astype(np.uint8)
+    plain = _restart_jpeg(img)
+    assert plain.count(b"\xff\xdd") == 1 and b"\xff\xd7" in plain  # RST0..RST7 wrap
+    ref = decode_jpeg(plain)
+    np.testing.assert_array_equal(ref, decode_jpeg(encode_jpeg(img, quality=90)))
+    for n_fill in (1, 3):
+        filled = _restart_jpeg(img, fill=b"\xff" * n_fill)
+        assert len(filled) > len(plain)
+        np.testing.assert_array_equal(decode_jpeg(filled), ref)
+
+
 def test_image_features_over_jpeg_batch(ray_session):
     import pyarrow as pa
 

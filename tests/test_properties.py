@@ -106,52 +106,6 @@ def test_bounds_projection_invariants(dx, dy):
     assert v3[0] and r3[0] == 99 and c3[0] == 99
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(350000, 373999.99, allow_nan=False),
-            st.floats(6700000, 6723999.99, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=80,
-    ),
-    st.integers(min_value=1, max_value=3),
-)
-def test_salt_batch_ownership_invariant(pts, level):
-    """Every point is owned by EXACTLY one salt key; replicas are
-    never owned; owned coordinates are unchanged (partition-safety
-    invariant of stages/salting._salt_batch, which now serves halo
-    mode only — exact mode is build-once and does not salt)."""
-    import pyarrow as pa
-
-    from lasutility_ray.geom import tilenamer
-    from lasutility_ray.stages.salting import _salt_batch
-
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    tile_ids = tilenamer.encode(xs, ys, 1000)
-    levels = {str(tile_ids[0]): level}  # salt one tile
-    t = pa.table(
-        {
-            "tile_id": pa.array(tile_ids.astype(object), pa.string()),
-            "x": pa.array(xs),
-            "y": pa.array(ys),
-        }
-    )
-    out = _salt_batch(t, levels, halo_m=50.0)
-    df = out.to_pandas()
-    owned = df[df["owned"]]
-    assert len(owned) == len(pts)
-    got = sorted(zip(owned["x"], owned["y"]))
-    want = sorted(zip(xs, ys))
-    assert got == want
-    # owned rows are unique per point even in the salted tile
-    assert owned.groupby(["x", "y"]).size().max() <= max(
-        sorted(zip(xs, ys)).count(p) for p in set(zip(xs, ys))
-    )
-
-
 # ------------------------------------------------------ LAZ codec
 
 _laz_n = st.integers(min_value=1, max_value=120)

@@ -117,6 +117,24 @@ def test_collocations_hand_corpus(ray_session):
     assert row2["lift_e6"] == row["lift_e6"]
 
 
+def test_lift_e6_raises_before_int64_wraps():
+    """Counts whose product wraps int64 raise OverflowError (an
+    exception, so ``python -O`` keeps the check); in-range counts give
+    the exact floor lift."""
+    from lasutility_ray.stages.collocations import lift_e6
+
+    one = np.array([1], np.int64)
+    c_ab = np.array([5, 1 << 40], np.int64)
+    with pytest.raises(OverflowError):
+        lift_e6(c_ab, one.repeat(2), one.repeat(2), 1 << 40)  # 2^80 * 1e6
+    with pytest.raises(OverflowError):
+        lift_e6(np.array([1], np.int64), np.array([1 << 32]), np.array([1 << 32]), 1)
+    assert lift_e6(c_ab[:0], one[:0], one[:0], 1 << 62).tolist() == []
+    got = lift_e6(np.array([5, 3]), np.array([10, 7]), np.array([10, 9]), 40)
+    assert got.dtype == np.int64
+    assert got.tolist() == [5 * 40 * 10**6 // 100, 3 * 40 * 10**6 // 63]
+
+
 def test_polygon_areas_match_construction_oracle(ray_session):
     import duckdb
 

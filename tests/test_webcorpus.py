@@ -270,6 +270,67 @@ def test_line_dedup_keep_first(ray_session):
     assert out["text"].tolist() == ["alpha\nshared line\nbeta", "gamma", "delta"]
 
 
+class _EagerDataset:
+    """The Dataset calls ``line_dedup`` makes, run in this process on
+    one batch, so a counter on the driver also sees every call its
+    batch fns make."""
+
+    def __init__(self, table: pa.Table):
+        self.table = table
+
+    def map_batches(self, fn, batch_format):
+        assert batch_format == "pyarrow"
+        return _EagerDataset(fn(self.table))
+
+    def groupby(self, key):
+        return _EagerGroups(self.table, key)
+
+
+class _EagerGroups:
+    def __init__(self, table: pa.Table, key: str):
+        self.table, self.key = table, key
+
+    def map_groups(self, fn, batch_format):
+        assert batch_format == "pandas"
+        outs = [fn(g) for _, g in self.table.to_pandas().groupby(self.key)]
+        return _EagerDataset(
+            pa.Table.from_pandas(pd.concat(outs, ignore_index=True), preserve_index=False)
+        )
+
+
+def test_line_dedup_bucket_count_fixed_once(monkeypatch):
+    """The bucket count is read from the cluster once, on the driver,
+    and the batch fns use that value: no per-batch
+    ``ray.cluster_resources()`` call."""
+    from lasutility_ray.stages import cogroup
+    from lasutility_ray.stages.webcorpus import line_dedup
+
+    calls = []
+
+    def counting_n_buckets(minimum: int = cogroup.N_BUCKETS) -> int:
+        calls.append(minimum)
+        return 3
+
+    monkeypatch.setattr(cogroup, "default_n_buckets", counting_n_buckets)
+
+    docs = _EagerDataset(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+                "text": pa.array(
+                    ["alpha\nshared line\nbeta", "shared line\ngamma\nshared line",
+                     "delta", "shared line"],
+                    pa.string(),
+                ),
+            }
+        )
+    )
+    out = line_dedup(docs).table.to_pandas().sort_values("doc_id")
+    assert len(calls) == 1
+    assert out["doc_id"].tolist() == [1, 2, 3]
+    assert out["text"].tolist() == ["alpha\nshared line\nbeta", "gamma", "delta"]
+
+
 def test_line_dedup_matches_duckdb(ray_session, docs_con):
     df, ref = _oracle("q_line_dedup", docs_con)
     df, ref = _sorted(df, ["doc_id"]), _sorted(ref, ["doc_id"])

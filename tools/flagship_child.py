@@ -1,6 +1,6 @@
 """Subprocess payload for the flagship kill-resume test: run the
 REAL benchmark flagship (synth pages -> extract-check -> points
-checkpoint -> concurrent PIP join + salted manifest-committed TIN)
+checkpoint -> concurrent PIP join + manifest-committed per-tile TIN)
 in its own Ray session and print one JSON line. The parent test
 SIGKILLs this process mid-TIN and relaunches it with --resume; the
 manifest must make the second run skip every committed tile
