@@ -130,9 +130,9 @@ def q_pip_join_rect(sf_dir: str):
 
 def q_polygon_pip_join(sf_dir: str):
     """General polygon PIP join (even-odd membership incl. holes,
-    uniform-grid candidate index per actor). Oracle-checked: the
-    synthetic polygons are axis-aligned, so even-odd membership
-    (left-exclusive/right-inclusive in x, bottom-inclusive/top-
+    uniform-grid candidate index built once on the driver).
+    Oracle-checked: the synthetic polygons are axis-aligned, so
+    even-odd membership (left-exclusive/right-inclusive in x, bottom-inclusive/top-
     exclusive in y — the ray-cast crossing rule) is exact SQL; also
     checked against a no-index single-process oracle in
     tests/test_polygon_pip_idw.py."""
@@ -790,9 +790,9 @@ def q_zonal_stats(sf_dir: str):
 
 def q_exif_geotags(sf_dir: str):
     """EXIF geotag mining: JPEG payloads carry APP1 Exif GPS segments
-    (from-scratch TIFF-IFD writer, geom/exif.py); an actor pool walks
+    (from-scratch TIFF-IFD writer, geom/exif.py); a map stage walks
     markers + parses the IFDs + converts the DMS rationals back to
-    exact signed micro-degrees (stages/multimodal.py ExifGeotags).
+    exact signed micro-degrees (stages/multimodal.py exif_geotags).
     The oracle re-derives the injected coordinates from the
     closed-form corpus parameters — value-exact proves the whole
     writer->splice->walk->parse->DMS chain."""
@@ -2081,8 +2081,7 @@ def q_iqr_filter(sf_dir: str):
 def q_audio_spectrogram(sf_dir: str):
     """Per-clip log-mel spectrogram summary (Hann frames -> |rfft|^2
     -> triangular mel bank -> log10; all numpy, stride-tricks frames)
-    in an actor pool with per-rate filterbank memoized in __init__
-    (stages/multimodal.py AudioSpectrogram). Rows-only; pinned vs the
+    in a map stage (stages/multimodal.py audio_spectrogram). Rows-only; pinned vs the
     direct numpy reference and WAV-vs-raw container invariance."""
     import ray.data as rd
 
@@ -2721,8 +2720,8 @@ def q_topk_orders_per_cust(sf_dir: str):
 
 
 def q_customer_nation_broadcast(sf_dir: str):
-    """Broadcast join (small side ray.put once, probed per batch; no
-    shuffle) — the J2 dict-lookup pattern generalized."""
+    """Broadcast join (small side shipped once with the probe, probed
+    per batch; no shuffle) — the J2 dict-lookup pattern generalized."""
     import pyarrow.parquet as pq
 
     import ray.data as rd
@@ -3282,7 +3281,7 @@ def q_bpe_vocab(sf_dir: str):
 
 def q_bpe_tokens(sf_dir: str):
     """Per-doc BPE token counts with the corpus-trained merges
-    (actor-pool encode, merge ranks broadcast once, per-word memo)."""
+    (task-based encode, merge ranks broadcast once, per-word memo)."""
     import ray.data as rd
 
     from lasutility_ray.stages.bpe import bpe_encode, bpe_train
@@ -3486,7 +3485,7 @@ def q_semdedup_isolated(sf_dir: str):
 
 
 def q_image_resize(sf_dir: str):
-    """Multimodal resize stage (actor pool over binary image
+    """Multimodal resize stage (map tasks over binary image
     column)."""
     import ray.data as rd
 
@@ -3497,7 +3496,7 @@ def q_image_resize(sf_dir: str):
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     with_imgs = docs.map_batches(attach_images, batch_format="pyarrow")
     out = with_imgs.map_batches(
-        ImageResize, batch_format="pyarrow", concurrency=(1, 4), batch_size=256
+        ImageResize(), batch_format="pyarrow", batch_size=256
     )
 
     def summarize(t: pa.Table) -> pa.Table:
@@ -3523,14 +3522,14 @@ def q_image_resize(sf_dir: str):
 
 def q_image_reencode(sf_dir: str):
     """Image storage compaction: decode (GRD1/PNG/JPEG) -> re-encode
-    as baseline JPEG in an actor pool; reports compressed size and
-    round-trip MAE per doc (stages/multimodal.py ImageReencode —
+    as baseline JPEG in map tasks; reports compressed size and
+    round-trip MAE per doc (stages/multimodal.py image_reencode_stage —
     the from-scratch T.81 codec, both directions, inside Ray)."""
     import ray.data as rd
 
     from lasutility_ray.stages.multimodal import attach_images, image_reencode_stage
 
-    # fan the tiny single-file read out so the actor pool has
+    # fan the tiny single-file read out so the map tasks have
     # parallel input from t=0 (the default 1-block read serializes
     # the pipeline head behind dynamic block splitting: measured
     # 3.9 s vs 1.9 s at sf0.1/32cpus)
@@ -3758,7 +3757,7 @@ def q_frame_sample(sf_dir: str):
 
 
 def q_audio_features(sf_dir: str):
-    """Multimodal audio feature extraction (actor pool over binary
+    """Multimodal audio feature extraction (map tasks over binary
     PCM column; real codecs stubbed per build contract)."""
     import ray.data as rd
 

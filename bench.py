@@ -131,7 +131,7 @@ def run_flagship(n_docs: int, out_dir: str, resume: bool = False) -> dict:
             f"extraction invariant broken: {n_extract_ok}/{n_docs}"
         )
 
-    # PIP join (actor pool, broadcast STRtree) runs concurrently with
+    # PIP join (map tasks, broadcast rect index) runs concurrently with
     # the TIN stage: independent consumers of the same checkpointed
     # points — the scheduler interleaves them instead of serializing
     # two underutilized stages
@@ -144,7 +144,6 @@ def run_flagship(n_docs: int, out_dir: str, resume: bool = False) -> dict:
         pip = rect_pip_join(
             rd.read_parquet(points_dir, columns=["doc_id", "x", "y"]),
             build_feature_table(),
-            concurrency=max(2, ncpu // 4),
         )
         pip_out["n"] = pip.count()
         pip_out["wall_s"] = round(time.perf_counter() - tp, 2)
@@ -154,9 +153,7 @@ def run_flagship(n_docs: int, out_dir: str, resume: bool = False) -> dict:
 
     # one tile_key shuffle, every tile (hot ones too) built whole in
     # its group, each committed atomically with a manifest row
-    manifest = resumable_tin_tiles(
-        points, out_dir, concurrency=max(2, ncpu // 4), key_col="tile_key"
-    )
+    manifest = resumable_tin_tiles(points, out_dir, key_col="tile_key")
     th.join()
     dt = time.perf_counter() - t0
     # TIN wall = everything after the checkpoint, concurrent with PIP

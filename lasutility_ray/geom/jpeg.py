@@ -20,7 +20,7 @@ in scan order, one np.packbits bit pack, vectorized 0xFF stuffing;
 pinned bit-identical to the per-block reference coder it replaced by
 tests/test_jpeg_vectorized.py). Huffman DECODE and the progressive
 encoder still walk per-block in python — inherently sequential
-bitstreams; the actor pool parallelizes across images, and a 100 TB
+bitstreams; the map tasks parallelize across images, and a 100 TB
 image pipeline would swap the decode kernel for a compiled codec
 while keeping every Ray-side contract identical.
 

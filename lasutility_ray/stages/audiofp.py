@@ -9,8 +9,8 @@ exact PCM hashing (``multimodal.audio_dedup``): amplitude scaling
 shifts (dt is shift-invariant; the offset-histogram vote absorbs the
 global shift).
 
-Ray shape: fingerprint extraction is an actor pool (per-clip numpy
-FFT); matching is ONE hash-keyed groupby whose per-hash fan-out is
+Ray shape: fingerprint extraction is a task-based map (per-clip
+numpy FFT); matching is ONE hash-keyed groupby whose per-hash fan-out is
 bounded (landmark hashes are near-unique — 2^20 space vs peaks/clip
 in the tens), then an (a, b, offset) coarse-bucket count with a
 ``min_matches`` vote. No all-pairs stage anywhere: candidate volume
@@ -128,7 +128,7 @@ def attach_audio_neardups(batch: pa.Table, doc_col: str = "doc_id") -> pa.Table:
 
 
 class AudioFingerprints:
-    """Actor-pool stage: clips -> (id, fp_hash, t1) landmark rows."""
+    """Batch stage: clips -> (id, fp_hash, t1) landmark rows."""
 
     def __init__(self, id_col: str = "doc_id", audio_col: str = "audio"):
         self._id, self._audio = id_col, audio_col
@@ -161,7 +161,6 @@ def audio_neardup_pairs(
     id_col: str = "doc_id",
     audio_col: str = "audio",
     min_matches: int = MIN_MATCHES,
-    concurrency: int = 4,
     batch_size: int = 256,
 ):
     """(a, b, n_aligned) for clip pairs sharing >= min_matches
@@ -170,11 +169,7 @@ def audio_neardup_pairs(
     from .dedup import _pair_indices
 
     fp = clips_ds.map_batches(
-        AudioFingerprints,
-        fn_constructor_kwargs={"id_col": id_col, "audio_col": audio_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, concurrency),
+        AudioFingerprints(id_col, audio_col), batch_format="pyarrow", batch_size=batch_size
     )
 
     def hash_pairs(g: pd.DataFrame) -> pd.DataFrame:

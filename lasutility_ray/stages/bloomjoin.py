@@ -63,11 +63,8 @@ def _build_bloom(right_ds, right_key: str, m: int, k: int) -> np.ndarray:
 
 
 class _BloomPrefilter:
-    def __init__(self, bloom_ref, key_col: str, m: int, k: int):
-        import ray
-
-        ref = bloom_ref[0] if isinstance(bloom_ref, list) else bloom_ref
-        self.bm = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def __init__(self, bm: np.ndarray, key_col: str, m: int, k: int):
+        self.bm = bm
         self.key_col, self.m, self.k = key_col, m, k
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -87,22 +84,15 @@ def bloom_semi_join(
     right_key: str,
     m: int = BLOOM_M,
     k: int = BLOOM_K,
-    concurrency: int = 4,
 ):
     """Rows of ``left_ds`` whose ``left_key`` appears in ``right_ds``:
     broadcast-bloom prefilter (pure map) then exact lookup_join verify
     over the surviving minority."""
-    import ray
-
     from .cogroup import lookup_join
 
     bloom = _build_bloom(right_ds, right_key, m, k)
-    ref = ray.put(bloom)
     survivors = left_ds.map_batches(
-        _BloomPrefilter,
-        fn_constructor_kwargs={"bloom_ref": [ref], "key_col": left_key, "m": m, "k": k},
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
+        _BloomPrefilter(bloom, left_key, m, k), batch_format="pyarrow"
     )
     keys = right_ds.select_columns([right_key]).map_batches(
         lambda t: pa.table(

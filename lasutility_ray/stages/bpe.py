@@ -12,10 +12,10 @@ The canonical Sennrich-2016 BPE shape, factored for Ray Data:
    capped at ``max_types`` rows — deliberately driver-side, the same
    role as the IVF k-means training sample. Ties break
    lexicographically so the merge list is deterministic.
-3. **Encoding** (distributed): an actor-pool ``map_batches`` stage;
-   the merge ranks broadcast once via ``ray.put``, each actor memoizes
-   per-word segmentations across batches (web text repeats words, so
-   the cache hit rate is the zipf mass).
+3. **Encoding** (distributed): a task-based ``map_batches`` stage;
+   the merge ranks ship once with the encoder callable, which
+   memoizes per-word segmentations across the batches of a task (web
+   text repeats words, so the cache hit rate is the zipf mass).
 
 Pure-python reference semantics are pinned by tests; not
 SQL-expressible (iterative), so the contract queries are rows-only.
@@ -29,7 +29,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 END = "</w>"
@@ -178,12 +177,10 @@ def encode_word(word: str, ranks: dict) -> tuple[str, ...]:
 
 
 class _BpeEncode:
-    """Actor-pool encoder: merge ranks fetched once per actor, per-word
+    """Batch encoder: merge ranks built once on the driver, per-word
     segmentations memoized across batches."""
 
-    def __init__(self, merges_ref, text_col: str):
-        ref = merges_ref[0] if isinstance(merges_ref, list) else merges_ref
-        merges = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def __init__(self, merges: list[tuple[str, str]], text_col: str):
         self.ranks = {tuple(p): i for i, p in enumerate(merges)}
         self.text_col = text_col
         self.cache: dict[str, int] = {}
@@ -207,13 +204,6 @@ class _BpeEncode:
         return t.append_column("n_bpe_tokens", pa.array(n_pieces, pa.int64()))
 
 
-def bpe_encode(ds, merges: list[tuple[str, str]], text_col: str = "text",
-               concurrency: int = 8):
+def bpe_encode(ds, merges: list[tuple[str, str]], text_col: str = "text"):
     """Per-doc BPE token counts (every input column rides along)."""
-    ref = ray.put([tuple(p) for p in merges])
-    return ds.map_batches(
-        _BpeEncode,
-        fn_constructor_kwargs={"merges_ref": [ref], "text_col": text_col},
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-    )
+    return ds.map_batches(_BpeEncode(merges, text_col), batch_format="pyarrow")

@@ -133,12 +133,11 @@ def distinctive_terms(ds, k: int = 3, id_col: str = "doc_id", text_col: str = "t
 
     Two passes: (1) global df per token — per-batch per-doc distinct
     tokens, partial counts, one tiny ``groupby(token)`` shuffle, the
-    vocab broadcast via ``ray.put``; (2) a streamed per-batch scan:
+    vocab broadcast in the scan's closure; (2) a streamed per-batch scan:
     in-batch C-speed (doc, token) counting, df attach by
     ``searchsorted``, per-doc head(k). At a vocabulary too large to
     broadcast, swap the df attach for a ``lookup_join`` on token hash
     — the ranking rule is unchanged."""
-    import ray
     from ray.data.aggregate import Sum
 
     import re
@@ -172,59 +171,48 @@ def distinctive_terms(ds, k: int = 3, id_col: str = "doc_id", text_col: str = "t
     )
     vocab = df_tab["token"].to_numpy()
     dfs = df_tab["df"].to_numpy(dtype=np.int64)
-    ref = ray.put((vocab, dfs))
 
-    class TopTerms:
-        def __init__(self, ref_):
-            r = ref_[0] if isinstance(ref_, list) else ref_
-            self.vocab, self.dfs = ray.get(r)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            toks = t.column(text_col).to_pandas().str.lower().str.findall(pat)
-            ids = t.column(id_col).to_numpy(zero_copy_only=False)
-            lens = toks.map(len).to_numpy(dtype=np.int64)
-            if lens.sum() == 0:
-                return pa.table(
-                    {
-                        id_col: pa.array([], pa.from_numpy_dtype(ids.dtype)),
-                        "rank": pa.array([], pa.int64()),
-                        "token": pa.array([], pa.string()),
-                        "tf": pa.array([], pa.int64()),
-                        "df": pa.array([], pa.int64()),
-                    }
-                )
-            flat = np.array([w for ws in toks for w in ws], dtype=object)
-            doc_idx = np.repeat(np.arange(len(toks), dtype=np.int64), lens)
-            tf = (
-                pd.DataFrame({"d": doc_idx, "token": flat})
-                .groupby(["d", "token"], sort=False)
-                .size()
-                .reset_index(name="tf")
-            )
-            pos = np.searchsorted(self.vocab, tf["token"].to_numpy())
-            tf["df"] = self.dfs[pos]
-            tf = tf.sort_values(
-                ["d", "tf", "df", "token"], ascending=[True, False, True, True],
-                kind="stable",
-            )
-            top = tf.groupby("d", sort=False).head(k).copy()
-            top["rank"] = top.groupby("d", sort=False).cumcount() + 1
+    def top_terms(t: pa.Table) -> pa.Table:
+        toks = t.column(text_col).to_pandas().str.lower().str.findall(pat)
+        ids = t.column(id_col).to_numpy(zero_copy_only=False)
+        lens = toks.map(len).to_numpy(dtype=np.int64)
+        if lens.sum() == 0:
             return pa.table(
                 {
-                    id_col: pa.array(ids[top["d"].to_numpy()]),
-                    "rank": pa.array(top["rank"].to_numpy(dtype=np.int64), pa.int64()),
-                    "token": pa.array(top["token"].to_numpy(), pa.string()),
-                    "tf": pa.array(top["tf"].to_numpy(dtype=np.int64), pa.int64()),
-                    "df": pa.array(top["df"].to_numpy(dtype=np.int64), pa.int64()),
+                    id_col: pa.array([], pa.from_numpy_dtype(ids.dtype)),
+                    "rank": pa.array([], pa.int64()),
+                    "token": pa.array([], pa.string()),
+                    "tf": pa.array([], pa.int64()),
+                    "df": pa.array([], pa.int64()),
                 }
             )
+        flat = np.array([w for ws in toks for w in ws], dtype=object)
+        doc_idx = np.repeat(np.arange(len(toks), dtype=np.int64), lens)
+        tf = (
+            pd.DataFrame({"d": doc_idx, "token": flat})
+            .groupby(["d", "token"], sort=False)
+            .size()
+            .reset_index(name="tf")
+        )
+        pos = np.searchsorted(vocab, tf["token"].to_numpy())
+        tf["df"] = dfs[pos]
+        tf = tf.sort_values(
+            ["d", "tf", "df", "token"], ascending=[True, False, True, True],
+            kind="stable",
+        )
+        top = tf.groupby("d", sort=False).head(k).copy()
+        top["rank"] = top.groupby("d", sort=False).cumcount() + 1
+        return pa.table(
+            {
+                id_col: pa.array(ids[top["d"].to_numpy()]),
+                "rank": pa.array(top["rank"].to_numpy(dtype=np.int64), pa.int64()),
+                "token": pa.array(top["token"].to_numpy(), pa.string()),
+                "tf": pa.array(top["tf"].to_numpy(dtype=np.int64), pa.int64()),
+                "df": pa.array(top["df"].to_numpy(dtype=np.int64), pa.int64()),
+            }
+        )
 
-    return ds.map_batches(
-        TopTerms,
-        fn_constructor_kwargs={"ref_": [ref]},
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
+    return ds.map_batches(top_terms, batch_format="pyarrow")
 
 
 def inverted_index(

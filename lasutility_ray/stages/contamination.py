@@ -8,7 +8,8 @@ engine has no analogue; the web-scale engine adds it as a
 broadcast-side stream scan:
 
 1. the EVAL side (benchmarks — small by contract) is reduced to its
-   distinct lowercase word n-grams once and ``ray.put`` broadcast;
+   distinct lowercase word n-grams once and broadcast with the scan
+   callable;
 2. the TRAIN side streams through ``map_batches``: tokenize, form
    n-gram strings, vectorized ``np.isin`` membership against the
    broadcast set, per-doc hit counts via ``bincount``. No shuffle at
@@ -28,7 +29,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -61,12 +61,10 @@ def eval_gram_set(eval_ds, n: int = 8, text_col: str = "text") -> np.ndarray:
 
 
 class _Contaminate:
-    """Actor-pool train scan: the eval gram set is fetched from the
-    object store once per actor."""
+    """Batch train scan against the broadcast eval gram set."""
 
-    def __init__(self, gram_ref, n: int, id_col: str, text_col: str):
-        ref = gram_ref[0] if isinstance(gram_ref, list) else gram_ref
-        self.grams = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def __init__(self, grams: np.ndarray, n: int, id_col: str, text_col: str):
+        self.grams = grams
         self.n = n
         self.id_col = id_col
         self.text_col = text_col
@@ -97,23 +95,13 @@ def ngram_contamination(
     n: int = 8,
     id_col: str = "doc_id",
     text_col: str = "text",
-    concurrency: int = 8,
 ):
     """One row per train doc: every input column plus total n-gram
     positions, how many of them hit an eval n-gram, and the
     contamination flag."""
     grams = eval_gram_set(eval_ds, n, text_col)
-    ref = ray.put(grams)
     return train_ds.map_batches(
-        _Contaminate,
-        fn_constructor_kwargs={
-            "gram_ref": [ref],
-            "n": n,
-            "id_col": id_col,
-            "text_col": text_col,
-        },
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
+        _Contaminate(grams, n, id_col, text_col), batch_format="pyarrow"
     )
 
 
@@ -164,11 +152,10 @@ def eval_bloom(eval_ds, n: int = 8, text_col: str = "text",
 
 
 class _BloomContaminate:
-    """Actor-pool train scan against a broadcast Bloom bitmap."""
+    """Batch train scan against a broadcast Bloom bitmap."""
 
-    def __init__(self, bloom_ref, n: int, m: int, k: int, text_col: str):
-        ref = bloom_ref[0] if isinstance(bloom_ref, list) else bloom_ref
-        self.bm = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def __init__(self, bm: np.ndarray, n: int, m: int, k: int, text_col: str):
+        self.bm = bm
         self.n, self.m, self.k = n, m, k
         self.text_col = text_col
 
@@ -194,7 +181,6 @@ def bloom_contamination(
     text_col: str = "text",
     m: int = BLOOM_M,
     k: int = BLOOM_K,
-    concurrency: int = 8,
 ):
     """Contamination screen with O(m) memory independent of eval-set
     size: superset-of-exact flags (zero false negatives by
@@ -202,16 +188,6 @@ def bloom_contamination(
     cheap first pass at 100 TB, then confirm survivors with
     :func:`ngram_contamination` on the (tiny) flagged subset."""
     bm = eval_bloom(eval_ds, n, text_col, m, k)
-    ref = ray.put(bm)
     return train_ds.map_batches(
-        _BloomContaminate,
-        fn_constructor_kwargs={
-            "bloom_ref": [ref],
-            "n": n,
-            "m": m,
-            "k": k,
-            "text_col": text_col,
-        },
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
+        _BloomContaminate(bm, n, m, k, text_col), batch_format="pyarrow"
     )

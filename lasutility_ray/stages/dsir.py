@@ -19,8 +19,8 @@ Execution shape (scale-safe, two streaming passes):
    -> one tiny ``groupby(bucket)`` shuffle -> <= ``N_BUCKETS`` rows to
    the driver. Model size is fixed (256 buckets), never
    corpus-proportional.
-2. **Score**: broadcast the per-bucket weight array once via
-   ``ray.put``; an actor-pool scan maps each batch's features through
+2. **Score**: the per-bucket weight array ships once with the scan
+   callable; a task-based scan maps each batch's features through
    it with ``searchsorted``-free direct indexing + ``bincount`` sums.
 
 Integer exactness (the ``stages/lm.py`` argument): the only float op
@@ -128,10 +128,8 @@ def train_dsir(
 
 
 class _DsirScore:
-    def __init__(self, mb_ref, text_col: str):
-        import ray
-
-        self.mb = ray.get(mb_ref[0])
+    def __init__(self, mb: np.ndarray, text_col: str):
+        self.mb = mb
         self.text_col = text_col
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -163,16 +161,8 @@ def dsir_weights(
     (doc_id, n_feats, logw_millibits); zero-feature docs are dropped
     (no evidence — the SQL mirror's GROUP BY drops them identically).
     """
-    import ray
-
     mb = train_dsir(ds, text_col, target_col, target_value)
-    ref = ray.put(mb)
-    return ds.map_batches(
-        _DsirScore,
-        fn_constructor_kwargs={"mb_ref": [ref], "text_col": text_col},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    return ds.map_batches(_DsirScore(mb, text_col), batch_format="pyarrow")
 
 
 def dsir_select(ds, k: int, **kwargs):

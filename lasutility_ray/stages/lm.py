@@ -8,10 +8,10 @@ Two passes, both streaming:
    the wire) -> one vocab-sized ``groupby(token)`` shuffle -> top-K
    vocabulary by (count desc, token asc). The trained model — token
    -> integer *millibits* ``floor(-1000 * ln(count/total))`` — is a
-   fixed-size table broadcast once via ``ray.put`` (the same
+   fixed-size table broadcast once with the scorer callable (the same
    broadcast-model shape a real KenLM scorer would use; K bounds the
    model, never the corpus).
-2. **Score**: a streamed actor-pool scan; per batch the flattened
+2. **Score**: a streamed task-based scan; per batch the flattened
    token array is mapped through the vocab by ``searchsorted`` and
    per-doc sums run as ``bincount`` C kernels.
 
@@ -97,12 +97,9 @@ def train_unigram(ds, text_col: str = "text", max_vocab: int = MAX_VOCAB):
 
 
 class _UnigramScore:
-    def __init__(self, vocab_ref, oov_millibits: int, text_col: str):
+    def __init__(self, vocab: pd.DataFrame, oov_millibits: int, text_col: str):
         import re
 
-        import ray
-
-        vocab = ray.get(vocab_ref[0])
         order = np.argsort(vocab["token"].to_numpy())
         self.tokens = vocab["token"].to_numpy()[order]
         self.mb = vocab["millibits"].to_numpy()[order]
@@ -145,20 +142,8 @@ def unigram_lm_score(ds, text_col: str = "text", max_vocab: int = MAX_VOCAB):
     (doc_id, n_tokens, n_oov, score_millibits); zero-token docs are
     dropped (they have no LM evidence — the SQL mirror's GROUP BY
     drops them identically)."""
-    import ray
-
     vocab, oov, _ = train_unigram(ds, text_col, max_vocab)
-    ref = ray.put(vocab)
-    return ds.map_batches(
-        _UnigramScore,
-        fn_constructor_kwargs={
-            "vocab_ref": [ref],
-            "oov_millibits": oov,
-            "text_col": text_col,
-        },
-        batch_format="pandas",
-        concurrency=(1, 4),
-    )
+    return ds.map_batches(_UnigramScore(vocab, oov, text_col), batch_format="pandas")
 
 
 # ------------------------------------------------------- bigram LM
@@ -177,8 +162,8 @@ def unigram_lm_score(ds, text_col: str = "text", max_vocab: int = MAX_VOCAB):
 # tables with the same literal float expression).
 #
 # 100 TB shape: one bigram-pair groupby bounded by (K+1)^2 output
-# rows (map-side bincount partials), model broadcast via ray.put,
-# score pass streamed through an actor pool.
+# rows (map-side bincount partials), model broadcast with the scorer
+# callable, score pass streamed through map tasks.
 
 INTERP_HI = 0.7
 INTERP_LO = 0.3
@@ -268,12 +253,10 @@ def train_bigram(ds, text_col: str = "text", max_vocab: int = MAX_VOCAB):
 
 
 class _BigramScore:
-    def __init__(self, model_ref, text_col: str):
+    def __init__(self, tokens: np.ndarray, mb: np.ndarray, text_col: str):
         import re
 
-        import ray
-
-        self.tokens, self.mb = ray.get(model_ref[0])
+        self.tokens, self.mb = tokens, mb
         self.k = len(self.tokens)
         self.pat = re.compile(TOKEN_RE)
         self.text_col = text_col
@@ -315,16 +298,8 @@ def bigram_lm_score(ds, text_col: str = "text", max_vocab: int = MAX_VOCAB):
     """Score docs by interpolated-bigram familiarity; docs with < 2
     tokens are dropped (no pair evidence, mirrored by the SQL GROUP
     BY over pairs)."""
-    import ray
-
     tokens_sorted, mb, _ = train_bigram(ds, text_col, max_vocab)
-    ref = ray.put((tokens_sorted, mb))
-    return ds.map_batches(
-        _BigramScore,
-        fn_constructor_kwargs={"model_ref": [ref], "text_col": text_col},
-        batch_format="pandas",
-        concurrency=(1, 4),
-    )
+    return ds.map_batches(_BigramScore(tokens_sorted, mb, text_col), batch_format="pandas")
 
 
 def bigram_lm_sql(max_vocab: int = MAX_VOCAB, table: str = "documents") -> str:

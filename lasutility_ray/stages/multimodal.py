@@ -17,11 +17,12 @@ offline (lossy VP8, H.264/AAC, Layer-III synthesis), plus a
 deterministic fake codec ("GRID" format:
 16-byte header ``b'GRD1' + u32 width + u32 height + u32 channels``
 followed by raw u8 pixels) so the Ray-side plumbing — schema,
-actor-pool signature, batch sizing, output layout — is real and
-tested end to end regardless of format.
+batch sizing, output layout — is real and tested end to end
+regardless of format.
 
-Stages are actor pools (codec tables "loaded" once per actor in
-``__init__``); batches stay in Arrow with ``large_binary`` payloads
+Stages are task-based ``map_batches`` calls; any codec table (the
+pHash DCT basis) is built once on the driver and ships with the
+callable. Batches stay in Arrow with ``large_binary`` payloads
 and small ``batch_size`` (large rows — see the memory note in
 SURVEY.md §4).
 """
@@ -135,30 +136,24 @@ def canonical_pixels(data: bytes) -> np.ndarray:
     return np.ascontiguousarray(img.reshape(img.shape[0], -1))
 
 
-class ImageFeatures:
-    """Actor-pool stage: decode + feature-extract (mean/std/edges)."""
-
-    def __init__(self):
-        # codec/config load happens once per actor
-        self.header = HEADER
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        means, stds, edges = [], [], []
-        for data in batch.column("image").to_pylist():
-            img = decode_image(data).astype(np.float64)
-            means.append(float(img.mean()))
-            stds.append(float(img.std()))
-            edges.append(float(np.abs(np.diff(img, axis=1)).mean()))
-        return (
-            batch.drop_columns(["image"])
-            .append_column("img_mean", pa.array(means, pa.float64()))
-            .append_column("img_std", pa.array(stds, pa.float64()))
-            .append_column("img_edge_energy", pa.array(edges, pa.float64()))
-        )
+def image_features(batch: pa.Table) -> pa.Table:
+    """Batch stage: decode + feature-extract (mean/std/edges)."""
+    means, stds, edges = [], [], []
+    for data in batch.column("image").to_pylist():
+        img = decode_image(data).astype(np.float64)
+        means.append(float(img.mean()))
+        stds.append(float(img.std()))
+        edges.append(float(np.abs(np.diff(img, axis=1)).mean()))
+    return (
+        batch.drop_columns(["image"])
+        .append_column("img_mean", pa.array(means, pa.float64()))
+        .append_column("img_std", pa.array(stds, pa.float64()))
+        .append_column("img_edge_energy", pa.array(edges, pa.float64()))
+    )
 
 
 class ImageResize:
-    """Actor-pool stage: nearest-neighbor resize of the fake format
+    """Batch stage: nearest-neighbor resize of the fake format
     (the real-codec path raises NotImplementedError by design)."""
 
     def __init__(self, out_w: int = 8, out_h: int = 8):
@@ -282,29 +277,24 @@ def frame_sample(batch: pa.Table, every: int = 4) -> pa.Table:
     return batch.set_column(idx, "video", pa.array(out, pa.large_binary()))
 
 
-class ImageReencode:
-    """Actor-pool stage: decode any supported image payload and
-    re-encode it as baseline JPEG (the storage-compaction pass a web
-    image corpus runs before training). Adds ``jpeg`` bytes,
-    ``jpeg_bytes`` size and ``mae`` (mean |decoded roundtrip - source|
-    per sample, a cheap quality monitor)."""
+def image_reencode_stage(ds, quality: int = 85, batch_size: int = 24):
+    """Decode any supported image payload and re-encode it as baseline
+    JPEG (the storage-compaction pass a web image corpus runs before
+    training). Adds ``jpeg`` bytes, ``jpeg_bytes`` size and ``mae``
+    (mean |decoded roundtrip - source| per sample, a cheap quality
+    monitor). Small batches: the per-image python entropy kernel
+    dominates, so many small tasks spread it over the cluster."""
+    from ..geom.jpeg import decode_jpeg, encode_jpeg
 
-    def __init__(self, quality: int = 85):
-        from ..geom.jpeg import decode_jpeg, encode_jpeg
-
-        self.quality = quality
-        self.encode = encode_jpeg
-        self.decode = decode_jpeg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reencode(batch: pa.Table) -> pa.Table:
         jpegs, sizes, maes = [], [], []
         for data in batch.column("image").to_pylist():
             # (h, w*channels) treated as one grey plane — exact for the
             # single-channel corpus; multi-channel payloads re-encode
             # as a wide luminance plane (documented approximation)
             img = decode_image(data)
-            j = self.encode(img, quality=self.quality)
-            back = self.decode(j)
+            j = encode_jpeg(img, quality=quality)
+            back = decode_jpeg(j)
             back2 = back if back.ndim == 2 else back.reshape(back.shape[0], -1)
             jpegs.append(j)
             sizes.append(len(j))
@@ -318,29 +308,7 @@ class ImageReencode:
             .append_column("mae", pa.array(maes, pa.float64()))
         )
 
-
-def image_reencode_stage(ds, quality: int = 85, concurrency: int = 16, batch_size: int = 24):
-    # smaller batches + a wider pool: the per-image python entropy
-    # kernel (~1.2 ms after the LUT16 decode rewrite) dominates, so
-    # spread batches across actors (measured best at sf0.1/32cpus:
-    # 24-row batches over a 24-block read, 1.9 s end to end vs 3.8 s
-    # before the rewrite). The pool MINIMUM matters as much
-    # as the cap: a (1, 16) pool scales up too slowly for a ~5 s
-    # stage (measured 3.4 s vs 1.9 s with min 8 on 32 cpus) — but a
-    # fixed large minimum deadlocks small clusters (the round-2
-    # curation lesson), so the floor adapts to the cluster: ~1/4 of
-    # the CPUs, capped at 8, at least 1.
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    lo = max(1, min(8, ncpu // 4))
-    return ds.map_batches(
-        ImageReencode,
-        fn_constructor_kwargs={"quality": quality},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(lo, max(lo, concurrency)),
-    )
+    return ds.map_batches(reencode, batch_format="pyarrow", batch_size=batch_size)
 
 
 AUDIO_MAGIC = b"PCM1"
@@ -558,47 +526,32 @@ def decode_audio(data: bytes) -> tuple[int, np.ndarray]:
     return rate, np.frombuffer(data, dtype=np.int16, offset=AUDIO_HEADER.size, count=n)
 
 
-class AudioFeatures:
-    """Actor-pool stage: decode + per-clip features (RMS, zero
-    crossings, duration)."""
-
-    def __init__(self):
-        self.header = AUDIO_HEADER  # codec table loaded once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rms, zc, dur = [], [], []
-        for data in batch.column("audio").to_pylist():
-            rate, pcm = decode_audio(data)
-            x = pcm.astype(np.float64)
-            rms.append(float(np.sqrt((x * x).mean())))
-            zc.append(int((np.signbit(x[1:]) != np.signbit(x[:-1])).sum()))
-            dur.append(len(pcm) / rate)
-        return (
-            batch.drop_columns(["audio"])
-            .append_column("audio_rms", pa.array(rms, pa.float64()))
-            .append_column("audio_zero_crossings", pa.array(zc, pa.int64()))
-            .append_column("audio_duration_s", pa.array(dur, pa.float64()))
-        )
+def audio_features(batch: pa.Table) -> pa.Table:
+    """Batch stage: decode + per-clip features (RMS, zero crossings,
+    duration)."""
+    rms, zc, dur = [], [], []
+    for data in batch.column("audio").to_pylist():
+        rate, pcm = decode_audio(data)
+        x = pcm.astype(np.float64)
+        rms.append(float(np.sqrt((x * x).mean())))
+        zc.append(int((np.signbit(x[1:]) != np.signbit(x[:-1])).sum()))
+        dur.append(len(pcm) / rate)
+    return (
+        batch.drop_columns(["audio"])
+        .append_column("audio_rms", pa.array(rms, pa.float64()))
+        .append_column("audio_zero_crossings", pa.array(zc, pa.int64()))
+        .append_column("audio_duration_s", pa.array(dur, pa.float64()))
+    )
 
 
-def audio_feature_stage(ds, concurrency: int = 4, batch_size: int = 256):
+def audio_feature_stage(ds, batch_size: int = 256):
     """Small batches: binary PCM rows are large."""
-    return ds.map_batches(
-        AudioFeatures,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, concurrency),
-    )
+    return ds.map_batches(audio_features, batch_format="pyarrow", batch_size=batch_size)
 
 
-def image_feature_stage(ds, concurrency: int = 4, batch_size: int = 256):
+def image_feature_stage(ds, batch_size: int = 256):
     """Small batches: payload rows are large (binary images)."""
-    return ds.map_batches(
-        ImageFeatures,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return ds.map_batches(image_features, batch_format="pyarrow", batch_size=batch_size)
 
 
 def image_dedup(ds, id_col: str = "doc_id", image_col: str = "image"):
@@ -986,7 +939,7 @@ PHASH_K = 8  # low-frequency block side -> 64-bit hash
 
 
 class PHash:
-    """Actor-pool stage: DCT perceptual hash per image (the classic
+    """Batch stage: DCT perceptual hash per image (the classic
     pHash recipe): decode -> grey (channel mean) -> deterministic
     32x32 resample -> orthonormal 2-D DCT-II -> the 8x8 low-frequency
     block thresholded at the median of its 63 non-DC coefficients.
@@ -995,7 +948,7 @@ class PHash:
     lossy re-encoding (JPEG requantization flips few low-frequency
     signs); pinned in tests.
 
-    The DCT basis matrix is built ONCE per actor in ``__init__``."""
+    The DCT basis matrix is built ONCE, on the driver, in ``__init__``."""
 
     def __init__(self, id_col: str = "doc_id", image_col: str = "image"):
         n = PHASH_N
@@ -1034,14 +987,10 @@ class PHash:
 
 
 def image_phash(ds, id_col: str = "doc_id", image_col: str = "image",
-                concurrency=(1, 8), batch_size: int = 128):
-    """Per-image 64-bit perceptual hash (decode state per actor)."""
+                batch_size: int = 128):
+    """Per-image 64-bit perceptual hash."""
     return ds.map_batches(
-        PHash,
-        fn_constructor_kwargs={"id_col": id_col, "image_col": image_col},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
+        PHash(id_col, image_col), batch_format="pyarrow", batch_size=batch_size
     )
 
 
@@ -1218,47 +1167,30 @@ def log_mel_spectrogram(
     return np.log10(1e-10 + spec @ fb.T)
 
 
-class AudioSpectrogram:
-    """Actor-pool stage: per-clip log-mel spectrogram summary. The
-    mel filterbank is built ONCE per actor per sample rate and
-    memoized; output carries frame count plus per-mel-band time means
-    (a fixed-width embedding-ish row — full spectrograms would be a
-    (frames x mels) blob per clip; the summary keeps rows slim for
-    the 100 TB shuffle budget)."""
-
-    def __init__(self):
-        self._fb_cache: dict[int, np.ndarray] = {}
-
-    def _fb(self, sr: int) -> np.ndarray:
-        if sr not in self._fb_cache:
-            self._fb_cache[sr] = _mel_filterbank(sr, SPEC_NFFT, SPEC_NMELS)
-        return self._fb_cache[sr]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_frames, mel_means = [], []
-        for data in batch.column("audio").to_pylist():
-            sr, pcm = decode_audio(data)
-            self._fb(sr)  # warm the per-rate filterbank
-            s = log_mel_spectrogram(pcm, sr)
-            n_frames.append(s.shape[0])
-            mel_means.append(np.round(s.mean(axis=0), 9))
-        return (
-            batch.drop_columns(["audio"])
-            .append_column("n_frames", pa.array(n_frames, pa.int64()))
-            .append_column(
-                "mel_means",
-                pa.array([m.tolist() for m in mel_means], pa.list_(pa.float64())),
-            )
+def audio_spectrogram(batch: pa.Table) -> pa.Table:
+    """Batch stage: per-clip log-mel spectrogram summary. Output
+    carries frame count plus per-mel-band time means (a fixed-width
+    embedding-ish row — full spectrograms would be a (frames x mels)
+    blob per clip; the summary keeps rows slim for the 100 TB shuffle
+    budget)."""
+    n_frames, mel_means = [], []
+    for data in batch.column("audio").to_pylist():
+        sr, pcm = decode_audio(data)
+        s = log_mel_spectrogram(pcm, sr)
+        n_frames.append(s.shape[0])
+        mel_means.append(np.round(s.mean(axis=0), 9))
+    return (
+        batch.drop_columns(["audio"])
+        .append_column("n_frames", pa.array(n_frames, pa.int64()))
+        .append_column(
+            "mel_means",
+            pa.array([m.tolist() for m in mel_means], pa.list_(pa.float64())),
         )
-
-
-def audio_spectrogram_stage(ds, concurrency: int = 4, batch_size: int = 256):
-    return ds.map_batches(
-        AudioSpectrogram,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, concurrency),
     )
+
+
+def audio_spectrogram_stage(ds, batch_size: int = 256):
+    return ds.map_batches(audio_spectrogram, batch_format="pyarrow", batch_size=batch_size)
 
 
 # ------------------------------------------------------- EXIF geotags
@@ -1304,46 +1236,36 @@ def attach_exif_images(batch: pa.Table, doc_col: str = "doc_id") -> pa.Table:
     return batch.append_column("image", pa.array(payloads, pa.large_binary()))
 
 
-class ExifGeotags:
-    """Actor-pool stage: mine geotags out of JPEG APP1 Exif segments
-    (per-payload marker walk by nature; the pool parallelizes across
+def exif_geotags(batch: pa.Table) -> pa.Table:
+    """Batch stage: mine geotags out of JPEG APP1 Exif segments
+    (per-payload marker walk by nature; tasks parallelize across
     images). Emits signed micro-degrees + orientation."""
+    from ..geom.exif import extract_exif_from_jpeg
 
-    def __init__(self):
-        from ..geom.exif import extract_exif_from_jpeg
-
-        self._extract = extract_exif_from_jpeg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        did = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        lat = np.zeros(len(did), np.int64)
-        lon = np.zeros(len(did), np.int64)
-        ori = np.zeros(len(did), np.int64)
-        ok = np.zeros(len(did), bool)
-        for i, payload in enumerate(batch.column("image").to_pylist()):
-            meta = self._extract(payload)
-            if meta and meta["lat_e6"] is not None:
-                ok[i] = True
-                lat[i] = meta["lat_e6"]
-                lon[i] = meta["lon_e6"]
-                ori[i] = meta["orientation"] or 0
-        return pa.table(
-            {
-                "doc_id": pa.array(did[ok]),
-                "lat_e6": pa.array(lat[ok]),
-                "lon_e6": pa.array(lon[ok]),
-                "orientation": pa.array(ori[ok]),
-            }
-        )
-
-
-def exif_geotags_stage(ds, concurrency: int = 4, batch_size: int = 256):
-    return ds.map_batches(
-        ExifGeotags,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, concurrency),
+    did = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    lat = np.zeros(len(did), np.int64)
+    lon = np.zeros(len(did), np.int64)
+    ori = np.zeros(len(did), np.int64)
+    ok = np.zeros(len(did), bool)
+    for i, payload in enumerate(batch.column("image").to_pylist()):
+        meta = extract_exif_from_jpeg(payload)
+        if meta and meta["lat_e6"] is not None:
+            ok[i] = True
+            lat[i] = meta["lat_e6"]
+            lon[i] = meta["lon_e6"]
+            ori[i] = meta["orientation"] or 0
+    return pa.table(
+        {
+            "doc_id": pa.array(did[ok]),
+            "lat_e6": pa.array(lat[ok]),
+            "lon_e6": pa.array(lon[ok]),
+            "orientation": pa.array(ori[ok]),
+        }
     )
+
+
+def exif_geotags_stage(ds, batch_size: int = 256):
+    return ds.map_batches(exif_geotags, batch_format="pyarrow", batch_size=batch_size)
 
 
 def exif_geotags_sql(source: str = "documents") -> str:

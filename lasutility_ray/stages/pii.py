@@ -3,7 +3,7 @@ phone numbers) — the standard scrubbing pass of web-corpus curation
 pipelines (e.g. the C4/Dolma-style email/IP/phone masks).
 
 Engine shape: one stateless vectorized ``map_batches`` stage; the
-patterns are compiled once per actor and applied via pandas' C-speed
+patterns are compiled once on the driver and applied via pandas' C-speed
 ``str.count`` / ``str.replace``. Patterns are written in the common
 subset of Python ``re`` and RE2 (ASCII classes, no lookaround, no
 backrefs) so the DuckDB oracle (sequential ``regexp_replace(..., 'g')``
@@ -39,7 +39,7 @@ PATTERNS = (
 
 
 class PiiRedact:
-    """Actor-pool stage: per-doc PII counts + redacted text.
+    """Batch stage: per-doc PII counts + redacted text.
 
     Adds ``n_email / n_ipv4 / n_phone`` (match counts at the moment
     each pattern runs) and ``text_redacted``; leaves other columns
@@ -63,7 +63,7 @@ class PiiRedact:
 def pii_redact(ds):
     """Dataset stage: redact emails / IPv4s / phone numbers in the
     ``text`` column (adds counts + ``text_redacted``)."""
-    return ds.map_batches(PiiRedact, batch_format="pandas", concurrency=(1, 4))
+    return ds.map_batches(PiiRedact(), batch_format="pandas")
 
 
 def inject_pii(ds):

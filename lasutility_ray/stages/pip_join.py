@@ -3,10 +3,11 @@
 Two paths, per SURVEY.md §2.4:
 
 - **Broadcast PIP join** (J1/J2 shape with a small polygon side): the
-  feature table is put into the object store once (``ray.put``) and
-  every actor builds a uniform-grid candidate index in ``__init__``
-  (the reference's TriangleIndexGrid idea, ``DEM/TriangleGrid.cs``);
-  each batch probes vectorized. No shuffle. When the polygon side is
+  driver builds the probe callable once, with its uniform-grid
+  candidate index (the reference's TriangleIndexGrid idea,
+  ``DEM/TriangleGrid.cs``), and passes it to ``map_batches``; Ray Data
+  ships it to the map tasks once per operator. Each batch probes
+  vectorized. No shuffle. When the polygon side is
   large, flat-map features to tiles and co-group on ``tile_id``
   instead (the burn path below does exactly that).
 
@@ -24,8 +25,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-
 from ..corpus.nls import ALL_CLASS_MAPS
 from ..geom.bounds import EPSILON, RasterBounds
 from ..geom.clip import clip_geometry, envelope_contains
@@ -38,13 +37,11 @@ TILE_SIZE_M = 1000
 
 
 class RectPipJoin:
-    """Actor-pool stage: probe points against broadcast axis-aligned
-    rectangles with half-open [min,max) containment. Index built once
-    per actor (sorted interval arrays); probe is vectorized
-    O(points x candidate rects)."""
+    """Batch probe: points against broadcast axis-aligned rectangles
+    with half-open [min,max) containment; vectorized
+    O(points x rects)."""
 
-    def __init__(self, rects_ref):
-        rects = ray.get(rects_ref) if isinstance(rects_ref, ray.ObjectRef) else rects_ref
+    def __init__(self, rects: dict):
         self.min_x = rects["min_x"]
         self.min_y = rects["min_y"]
         self.max_x = rects["max_x"]
@@ -73,20 +70,17 @@ class RectPipJoin:
         )
 
 
-def rect_pip_join(points_ds, feature_table: pa.Table, concurrency=4):
-    """points x rect features -> (doc_id, feature_id, luokka) rows."""
+def rect_pip_join(points_ds, feature_table: pa.Table, concurrency: int | None = None):
+    """points x rect features -> (doc_id, feature_id, luokka) rows.
+    ``concurrency`` caps the number of concurrent map tasks."""
     mask = pa.compute.equal(feature_table.column("kind"), "rect")
     rects_tbl = feature_table.filter(mask)
     rects = {
         c: rects_tbl.column(c).to_numpy()
         for c in ("min_x", "min_y", "max_x", "max_y", "luokka", "feature_id")
     }
-    rects_ref = ray.put(rects)
     return points_ds.map_batches(
-        RectPipJoin,
-        fn_constructor_args=(rects_ref,),
-        batch_format="pyarrow",
-        concurrency=concurrency,
+        RectPipJoin(rects), batch_format="pyarrow", concurrency=concurrency
     )
 
 
@@ -96,23 +90,18 @@ def rect_pip_join(points_ds, feature_table: pa.Table, concurrency=4):
 
 
 class PolygonPipJoin:
-    """Actor-pool stage: probe points against broadcast *polygon*
-    features (even-odd membership, geom/pip.py) — the general J1
-    shape. Per-actor init builds a uniform-grid candidate index over
-    feature envelopes (the TriangleGrid idea, ``DEM/TriangleGrid.cs:
-    25-89``, standing in for an STRtree: same candidate-pruning
-    role); probes test only the grid cell's candidates."""
+    """Batch probe: points against broadcast *polygon* features
+    (even-odd membership, geom/pip.py) — the general J1 shape.
+    ``__init__`` builds a uniform-grid candidate index over feature
+    envelopes (the TriangleGrid idea, ``DEM/TriangleGrid.cs:25-89``,
+    standing in for an STRtree: same candidate-pruning role); probes
+    test only the grid cell's candidates."""
 
     GRID = 250.0  # index cell size (m)
 
-    def __init__(self, features_ref):
+    def __init__(self, feats: pa.Table):
         from ..geom.pip import points_in_polygon
 
-        feats = (
-            ray.get(features_ref[0])
-            if isinstance(features_ref, list)
-            else features_ref
-        )
         self._pip = points_in_polygon
         self.polys = []  # (feature_id, luokka, exterior, interiors, env)
         envs = []
@@ -187,16 +176,10 @@ class PolygonPipJoin:
         )
 
 
-def polygon_pip_join(points_ds, feature_table: pa.Table, concurrency: int = 4):
-    """Points x polygon-features PIP join; the polygon side is
-    broadcast once (``ray.put``), index built once per actor."""
-    ref = ray.put(feature_table)
-    return points_ds.map_batches(
-        PolygonPipJoin,
-        fn_constructor_kwargs={"features_ref": [ref]},
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-    )
+def polygon_pip_join(points_ds, feature_table: pa.Table):
+    """Points x polygon-features PIP join; the grid index is built
+    once on the driver and broadcast with the probe."""
+    return points_ds.map_batches(PolygonPipJoin(feature_table), batch_format="pyarrow")
 
 
 def explode_features_to_tiles(

@@ -34,7 +34,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 
 _M = 2_147_483_647  # 2^31 - 1 (Lehmer modulus)
 _A = 48_271
@@ -136,38 +135,25 @@ def group_quantiles_hist(
     lo = ranges[f"min({value_col})"].to_numpy(dtype=np.float64)
     hi = ranges[f"max({value_col})"].to_numpy(dtype=np.float64)
     width = np.where(hi > lo, (hi - lo) / n_bins, 1.0)
-    ref = ray.put((keys, lo, width))
+    n_groups = len(keys)
 
-    class PartialHist:
-        def __init__(self, ref_):
-            r = ref_[0] if isinstance(ref_, list) else ref_
-            self.keys, self.lo, self.width = ray.get(r)
-            self.n_groups = len(self.keys)
+    def partial_hist(t: pa.Table) -> pa.Table:
+        g = t.column(group_col).to_numpy(zero_copy_only=False)
+        v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
+        gi = np.searchsorted(keys, g)
+        b = ((v - lo[gi]) / width[gi]).astype(np.int64)
+        np.clip(b, 0, n_bins - 1, out=b)
+        flat = np.bincount(gi * n_bins + b, minlength=n_groups * n_bins)
+        h = flat.reshape(n_groups, n_bins)
+        used = np.flatnonzero(h.any(axis=1))
+        return pa.table(
+            {
+                "__gi": pa.array(used, pa.int64()),
+                "__hist": pa.array(list(h[used].astype(np.int64)), pa.list_(pa.int64())),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            g = t.column(group_col).to_numpy(zero_copy_only=False)
-            v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
-            gi = np.searchsorted(self.keys, g)
-            b = ((v - self.lo[gi]) / self.width[gi]).astype(np.int64)
-            np.clip(b, 0, n_bins - 1, out=b)
-            flat = np.bincount(gi * n_bins + b, minlength=self.n_groups * n_bins)
-            h = flat.reshape(self.n_groups, n_bins)
-            used = np.flatnonzero(h.any(axis=1))
-            return pa.table(
-                {
-                    "__gi": pa.array(used, pa.int64()),
-                    "__hist": pa.array(
-                        list(h[used].astype(np.int64)), pa.list_(pa.int64())
-                    ),
-                }
-            )
-
-    partials = pruned.map_batches(
-        PartialHist,
-        fn_constructor_kwargs={"ref_": [ref]},
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
+    partials = pruned.map_batches(partial_hist, batch_format="pyarrow")
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         gi = int(g["__gi"].iloc[0])

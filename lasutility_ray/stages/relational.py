@@ -8,10 +8,11 @@ point outputs back to page metadata. Two shapes:
 
 - ``hash_join``: ``Dataset.join`` — Ray Data's hash-shuffle join;
   both sides repartitioned on the key. Use when both sides are big.
-- ``broadcast_join``: the small side is ``ray.put`` once and probed
-  inside ``map_batches`` via a vectorized ``pyarrow`` index lookup —
-  no shuffle at all. The J2/M5 dict-lookup pattern generalized to an
-  arbitrary small table (SURVEY.md §2.4 "broadcast small sides").
+- ``broadcast_join``: the small side ships once with the probe
+  callable and is probed inside ``map_batches`` via a vectorized
+  ``pyarrow`` index lookup — no shuffle at all. The J2/M5 dict-lookup
+  pattern generalized to an arbitrary small table (SURVEY.md §2.4
+  "broadcast small sides").
 """
 
 from __future__ import annotations
@@ -76,12 +77,10 @@ def topk_per_group(
 
 
 class _BroadcastProbe:
-    """Actor-pool probe: the small side is read from the object store
-    once per actor (never re-shipped per batch)."""
+    """Batch probe against the small side, which ships with the
+    callable (never re-shipped per batch)."""
 
-    def __init__(self, small_ref, on: str, right_on: str, prefix: str):
-        ref = small_ref[0] if isinstance(small_ref, list) else small_ref
-        small: pa.Table = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    def __init__(self, small: pa.Table, on: str, right_on: str, prefix: str):
         self.on = on
         self.keys = small.column(right_on)
         self.payload = small.drop_columns([right_on])
@@ -101,21 +100,18 @@ class _BroadcastProbe:
 
 
 def broadcast_join(left_ds, small_table: pa.Table, on: str, right_on: str | None = None,
-                   prefix: str = "", concurrency: int = 4):
+                   prefix: str = ""):
     """Inner join against a small in-memory table without a shuffle.
-    ``small_table``'s join key must be unique."""
+    ``small_table``'s join key must be unique: the probe keeps one
+    match per left row, so a duplicated key raises ``ValueError``
+    instead of silently dropping the extra matches."""
     right_on = right_on or on
-    ref = ray.put(small_table.combine_chunks())
+    small = small_table.combine_chunks()
+    keys = small.column(right_on)
+    if pc.count_distinct(keys, mode="all").as_py() != len(keys):
+        raise ValueError(f"broadcast_join: duplicate keys in {right_on!r}")
     return left_ds.map_batches(
-        _BroadcastProbe,
-        fn_constructor_kwargs={
-            "small_ref": [ref],
-            "on": on,
-            "right_on": right_on,
-            "prefix": prefix,
-        },
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
+        _BroadcastProbe(small, on, right_on, prefix), batch_format="pyarrow"
     )
 
 

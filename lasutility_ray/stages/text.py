@@ -3,9 +3,9 @@ counting, quality scoring, language ID, document fingerprinting.
 
 All per-batch bodies are vectorized (compiled regex applied via
 pandas str ops / numpy); stateful pieces (compiled patterns, stopword
-arrays) live in actor ``__init__``. The token/quality ops are
-DuckDB-mirrorable (same regex / arithmetic); langid + fingerprint are
-rows-only ops with pure-python pytest oracles.
+arrays) are built once in the callable's ``__init__`` on the driver.
+The token/quality ops are DuckDB-mirrorable (same regex /
+arithmetic); langid + fingerprint are rows-only ops with pure-python pytest oracles.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _stop_hits(toks: pd.Series, lens: np.ndarray, table: np.ndarray) -> np.ndarr
 
 
 class TextStats:
-    """Actor-pool stage: token counts + quality columns.
+    """Batch stage: token counts + quality columns.
 
     Mirrored by SQL: n_chars = length(text); n_tokens = count of
     ``\\S+`` matches; alpha_chars = count of [A-Za-z]; stop_hits_en =
@@ -103,10 +103,7 @@ class TextStats:
 
 
 def text_stats(ds):
-    # autoscaling (1, 4): a fixed-size pool holds its CPUs for the
-    # stage's lifetime and starves downstream actor pools on small
-    # clusters (the curation pipeline chains two pools)
-    return ds.map_batches(TextStats, batch_format="pandas", concurrency=(1, 4))
+    return ds.map_batches(TextStats(), batch_format="pandas")
 
 
 class LangId:
@@ -139,7 +136,7 @@ class LangId:
 
 
 def lang_id(ds):
-    return ds.map_batches(LangId, batch_format="pandas", concurrency=(1, 4))
+    return ds.map_batches(LangId(), batch_format="pandas")
 
 
 def fingerprint_batch(batch: pa.Table) -> pa.Table:

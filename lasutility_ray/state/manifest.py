@@ -12,14 +12,13 @@ generalizes both to the engine's unit of work, the 1 km tile:
   (``{key, n_rows, content_hash, output_path, metrics...}``);
   the manifest row is written *after* the data file, so a manifest
   entry implies a complete, readable output partition;
-- a resumed run lists the manifest (cheap: one dir listing), broadcasts
-  the finished-key set once via ``ray.put`` (read once per actor in
-  ``DropFinished.__init__``, never re-shipped per batch), anti-joins
-  pending rows with a vectorized mask, and only processes the rest.
+- a resumed run lists the manifest (cheap: one dir listing), ships
+  the finished-key set with a filter closure (Ray Data broadcasts it
+  once per operator), anti-joins pending rows with a vectorized
+  ``pc.is_in`` mask, and only processes the rest.
 
 At 100 TB the manifest stays tiny relative to data (one row per tile);
-the broadcast set is a few MB for ~10^5 tiles per job shard, read once
-per actor.
+the broadcast set is a few MB for ~10^5 tiles per job shard.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ import hashlib
 import os
 import time
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 MANIFEST_DIR = "_manifest"
@@ -87,36 +86,6 @@ def manifest_table(out_dir: str) -> pa.Table:
     return pa.concat_tables([pq.read_table(f) for f in files], promote_options="default")
 
 
-class DropFinished:
-    """Actor-pool batch filter: drop rows whose key is already in the
-    checkpoint manifest. The finished-key set is ``ray.put`` once by
-    the driver and ``ray.get`` once per actor here — a broadcast
-    lookup, not a shuffle anti-join and not a per-batch reship."""
-
-    def __init__(self, done_ref, key_col: str):
-        import ray
-
-        ref = done_ref[0] if isinstance(done_ref, list) else done_ref
-        self.done = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        self.key_col = key_col
-        # vectorized path for int keys (tile_key resume filter)
-        self.done_arr = (
-            np.fromiter(self.done, dtype=np.int64, count=len(self.done))
-            if self.done and all(isinstance(k, int) for k in self.done)
-            else None
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.done:
-            return batch
-        keys = batch.column(self.key_col).to_numpy(zero_copy_only=False)
-        if self.done_arr is not None and keys.dtype.kind in "iu":
-            mask = ~np.isin(keys, self.done_arr)
-        else:
-            mask = np.array([k not in self.done for k in keys], dtype=bool)
-        return batch.filter(pa.array(mask))
-
-
 def _commit_partition(out_dir: str, key: str, df: pd.DataFrame, metrics: dict) -> dict:
     """Atomically write a partition's output + manifest row; returns
     the manifest row as a dict."""
@@ -155,12 +124,9 @@ METRIC_COLS = (
 )
 
 
-def _pending_input(points_ds, out_dir: str, key_col: str, concurrency: int,
-                   done_translate=None):
+def _pending_input(points_ds, out_dir: str, key_col: str, done_translate=None):
     """Sweep torn tmp files, list finished keys, anti-join them out
-    of the input via the broadcast DropFinished pool."""
-    import ray
-
+    of the input with a broadcast ``pc.is_in`` filter."""
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
     # sweep orphan tmp files from a crashed writer: a *.tmp.* without
     # a manifest row is a torn write, safe to delete (the tmp+rename
@@ -178,15 +144,12 @@ def _pending_input(points_ds, out_dir: str, key_col: str, concurrency: int,
         return points_ds
     if done_translate is not None:
         done = {done_translate(k) for k in done}
-    done_ref = ray.put(done)
-    # autoscaling pool (min 1): never reserves every CPU, so the
-    # downstream groupby shuffle can always make progress
-    return points_ds.map_batches(
-        DropFinished,
-        fn_constructor_kwargs={"done_ref": [done_ref], "key_col": key_col},
-        batch_format="pyarrow",
-        concurrency=(1, concurrency),
-    )
+    done_set = pa.array(sorted(done))
+
+    def drop_finished(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.invert(pc.is_in(batch.column(key_col), value_set=done_set)))
+
+    return points_ds.map_batches(drop_finished, batch_format="pyarrow")
 
 
 def resumable_tiles(
@@ -194,7 +157,6 @@ def resumable_tiles(
     out_dir: str,
     tiles_fn,
     key_col: str = "tile_id",
-    concurrency: int = 4,
     pending_key_col: str | None = None,
     done_translate=None,
 ):
@@ -212,8 +174,7 @@ def resumable_tiles(
     the resume filter runs on that column with the manifest's string
     keys mapped through ``done_translate``."""
     pending = _pending_input(
-        points_ds, out_dir, pending_key_col or key_col, concurrency,
-        done_translate=done_translate,
+        points_ds, out_dir, pending_key_col or key_col, done_translate=done_translate
     )
     tiles = tiles_fn(pending)
 
@@ -236,9 +197,7 @@ def resumable_tiles(
     return manifest_table(out_dir)
 
 
-def resumable_tin_tiles(
-    points_ds, out_dir: str, concurrency: int = 4, key_col: str = "tile_id"
-):
+def resumable_tin_tiles(points_ds, out_dir: str, key_col: str = "tile_id"):
     """Checkpointed flagship wide step: per-tile TIN+DEM rasterization
     (stages.tin.tin_tiles), each tile committed atomically with a
     lineage/metrics manifest row; resume skips finished tiles.
@@ -257,48 +216,42 @@ def resumable_tin_tiles(
         points_ds,
         out_dir,
         lambda pending: tin_tiles(pending, include_rasters=True, key_col=key_col),
-        concurrency=concurrency,
         pending_key_col=key_col,
         done_translate=done_translate,
     )
 
 
-def resumable_burned_tiles(features_by_tile_ds, out_dir: str, concurrency: int = 4):
+def resumable_burned_tiles(features_by_tile_ds, out_dir: str):
     """Checkpointed J3 raster burn: features (already exploded/keyed
     by tile) -> per-tile burned raster, each tile committed
     atomically; resume skips burned tiles."""
     from ..stages.pip_join import burned_tiles
 
-    return resumable_tiles(
-        features_by_tile_ds, out_dir, burned_tiles, concurrency=concurrency
-    )
+    return resumable_tiles(features_by_tile_ds, out_dir, burned_tiles)
 
 
 def resumable_salted_tin_tiles(
     points_ds, out_dir: str, threshold: int | None = None, concurrency: int = 4,
     exact: bool = True, key_col: str = "tile_id",
 ):
-    """Old name of :func:`resumable_tin_tiles`. ``threshold`` and
-    ``exact`` are ignored: every tile is built whole, so the output is
-    exact either way. Kept only because ``perfbench/workloads.py``
-    still calls it; delete it once that call moves."""
-    return resumable_tin_tiles(
-        points_ds, out_dir, concurrency=concurrency, key_col=key_col
-    )
+    """Old name of :func:`resumable_tin_tiles`. ``threshold``,
+    ``concurrency`` and ``exact`` are ignored: every tile is built
+    whole, so the output is exact either way, and no stage has a pool
+    to size. Kept only because ``perfbench/workloads.py`` still calls
+    it; delete it once that call moves."""
+    return resumable_tin_tiles(points_ds, out_dir, key_col=key_col)
 
 
-def resumable_corpus_partitions(
-    docs_ds, out_dir: str, key_col: str = "source", concurrency: int = 4
-):
+def resumable_corpus_partitions(docs_ds, out_dir: str, key_col: str = "source"):
     """Partitioned, resumable corpus sink: ONE parquet file per
     distinct ``key_col`` value (tmp+rename atomic, manifest row with
     row count + content hash), the per-tile checkpoint generalized to
     arbitrary corpus partitions (by source/lang/host bucket). A killed
-    job re-run skips finished partitions (``DropFinished`` broadcast,
-    no shuffle); torn tmp files are swept. Key values must be
+    job re-run skips finished partitions (broadcast ``pc.is_in``
+    filter, no shuffle); torn tmp files are swept. Key values must be
     filename-safe. Returns the manifest table after driving the
     pipeline."""
-    pending = _pending_input(docs_ds, out_dir, key_col, concurrency)
+    pending = _pending_input(docs_ds, out_dir, key_col)
 
     def commit_group(g: pd.DataFrame) -> pd.DataFrame:
         t0 = time.perf_counter()

@@ -213,7 +213,7 @@ def test_image_features_over_jpeg_batch(ray_session):
             }
         )
     )
-    out = image_feature_stage(ds, concurrency=2).to_pandas()
+    out = image_feature_stage(ds).to_pandas()
     assert len(out) == 6
     assert {"img_mean", "img_std", "img_edge_energy"} <= set(out.columns)
     assert (out["img_std"] > 0).all()

@@ -244,7 +244,7 @@ class TestMultimodal:
 
         ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(20), pa.int64())}))
         with_imgs = ds.map_batches(attach_images, batch_format="pyarrow")
-        out = image_feature_stage(with_imgs, concurrency=2).to_pandas()
+        out = image_feature_stage(with_imgs).to_pandas()
         assert len(out) == 20
         # oracle: decode doc 3's image directly
         img = decode_image(synth_image_bytes(np.array([3]))[0]).astype(np.float64)
