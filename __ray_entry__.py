@@ -3371,14 +3371,17 @@ def q_checkpoint_manifest(sf_dir: str):
     inside the same invocation proves resume-is-noop. Returns the
     lineage manifest (rows-only: wall_s is nondeterministic)."""
     import shutil
+    import tempfile
 
     from lasutility_ray.state import resumable_tin_tiles
 
-    out_dir = f"/tmp/ckpt_query_{abs(hash(sf_dir)) % 10**8}"
-    shutil.rmtree(out_dir, ignore_errors=True)
-    pts = _points(sf_dir)
-    resumable_tin_tiles(pts, out_dir)
-    manifest = resumable_tin_tiles(pts, out_dir)  # resume: no recompute
+    out_dir = tempfile.mkdtemp(prefix="ckpt_query_")
+    try:
+        pts = _points(sf_dir)
+        resumable_tin_tiles(pts, out_dir)
+        manifest = resumable_tin_tiles(pts, out_dir)  # resume: no recompute
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
     return manifest.select(["key", "n_rows", "n_points", "n_triangles"])
 
 

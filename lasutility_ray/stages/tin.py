@@ -11,8 +11,9 @@ choice — int keys shuffle and group much faster than strings; the
 name is rebuilt once per group). Hot tiles are built whole in their
 group, so each tile is one task and the largest tile bounds the
 stage's wall at any CPU count: bench.py's 12M-doc corpus has two
-1.2M-point urban tiles, one ~45 s single-task build each on one vCPU
-(CHANGES.md records this known cost).
+1.2M-point urban tiles, one single-task build each. With the compiled
+Delaunay sweep (geom/delaunay.py) a 1.31M-point tile builds in ~4 s on
+one vCPU (Delaunay 1.4 s); with the Python sweep it took ~34 s.
 
 Per tile (mirrors flows A+C, Triangulation.Tests.cs:15-70 /
 VoxelGrid.Tests.cs:52-101):

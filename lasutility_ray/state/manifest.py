@@ -177,24 +177,40 @@ def resumable_tiles(
         points_ds, out_dir, pending_key_col or key_col, done_translate=done_translate
     )
     tiles = tiles_fn(pending)
+    tiles.map_batches(_commit_rows_fn(out_dir, key_col), batch_format="pandas").count()
+    return manifest_table(out_dir)
+
+
+def _commit_rows_fn(out_dir: str, key_col: str):
+    """The batch function of :func:`resumable_tiles`: commit each row
+    of a tiles batch as its own partition, return the manifest rows.
+    An empty batch returns the same typed columns, so every block of
+    the stage has one schema."""
 
     def commit_rows(df: pd.DataFrame) -> pd.DataFrame:
+        metric_cols = [c for c in METRIC_COLS if c in df.columns]
         rows = []
         for i in range(len(df)):
             t0 = time.perf_counter()
             one = df.iloc[i : i + 1]
             key = str(one[key_col].iloc[0])
-            metrics = {
-                c: int(one[c].iloc[0]) for c in METRIC_COLS if c in one.columns
-            }
+            metrics = {c: int(one[c].iloc[0]) for c in metric_cols}
             metrics["wall_s"] = round(time.perf_counter() - t0, 6)
             rows.append(_commit_partition(out_dir, key, one, metrics))
-        if not rows:
-            return pd.DataFrame({"key": pd.Series(dtype="object")})
-        return pd.DataFrame(rows)
+        if rows:
+            return pd.DataFrame(rows)
+        return pd.DataFrame(
+            {
+                "key": pd.Series(dtype="object"),
+                "n_rows": pd.Series(dtype="int64"),
+                "content_hash": pd.Series(dtype="object"),
+                "output_path": pd.Series(dtype="object"),
+                **{c: pd.Series(dtype="int64") for c in metric_cols},
+                "wall_s": pd.Series(dtype="float64"),
+            }
+        )
 
-    tiles.map_batches(commit_rows, batch_format="pandas").count()
-    return manifest_table(out_dir)
+    return commit_rows
 
 
 def resumable_tin_tiles(points_ds, out_dir: str, key_col: str = "tile_id"):

@@ -293,3 +293,31 @@ def test_tile_key_resume_matches_string_key(out_dir, ray_session):
     assert sorted(b2["key"]) == keys
     shutil.rmtree(str_dir, ignore_errors=True)
     shutil.rmtree(key_dir, ignore_errors=True)
+
+
+def test_commit_rows_empty_batch_keeps_the_manifest_schema(tmp_path):
+    """An empty tiles batch commits nothing and returns the same
+    typed columns as a non-empty one, so the stage emits one schema."""
+    import numpy as np
+    import pandas as pd
+
+    from lasutility_ray.state.manifest import _commit_rows_fn
+
+    tiles = pd.DataFrame(
+        {
+            "tile_id": ["a", "b"],
+            "n_points": [5, 7],
+            "n_ground": [1, 2],
+            "n_triangles": [4, 8],
+            "missing_before": [-1, 3],
+            "missing_after": [-1, 0],
+            "dem": [np.zeros(2, np.float32).tobytes()] * 2,
+        }
+    )
+    commit = _commit_rows_fn(str(tmp_path), "tile_id")
+    full = commit(tiles)
+    empty = commit(tiles.iloc[:0])
+    assert len(full) == 2 and len(empty) == 0
+    assert list(empty.columns) == list(full.columns)
+    assert list(empty.dtypes) == list(full.dtypes)
+    assert sorted(finished_keys(str(tmp_path))) == ["a", "b"]

@@ -4,7 +4,10 @@ q_image_dedup, q_semantic_dedup, q_ann_pq_recall) — each residue is
 value-checked against its DuckDB oracle exactly the way the driver
 compares (sorted columns, sorted rows, exact dtypes)."""
 
+import glob
+import os
 import sys
+import tempfile
 
 import duckdb
 import pandas as pd
@@ -219,3 +222,17 @@ def test_two_hop_fast_path_equal(ray_session):
     canon = lambda d: d.sort_values("host_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(canon(fast), canon(dist))
     assert len(fast) > 0
+
+
+def test_checkpoint_manifest_leaves_no_tmp_dir(ray_session, oracle_con):
+    """q_checkpoint_manifest removes its checkpoint directory, and its
+    per-tile point counts equal the q_manifest_counts oracle."""
+    import __ray_entry__ as e
+
+    pattern = os.path.join(tempfile.gettempdir(), "ckpt_query_*")
+    before = set(glob.glob(pattern))
+    df = e.q_checkpoint_manifest(SF).to_pandas()
+    assert set(glob.glob(pattern)) <= before
+    ref = oracle_con.execute(e.oracle_sql()["q_manifest_counts"]).df()
+    got = df[["key", "n_points"]]
+    pd.testing.assert_frame_equal(_canon(got), _canon(ref[["key", "n_points"]]), check_dtype=True)
