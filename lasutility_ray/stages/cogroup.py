@@ -17,7 +17,9 @@ co-group shape instead (see ``pip_join.py``/``dedup.py``):
 The shuffle moves each side exactly once; no partition can be empty-
 schemed because every group block carries the full union schema.
 ``n_buckets`` bounds parallelism of the merge stage — raise it with
-cluster size (it is a shuffle-key fanout, not a correctness knob).
+cluster size (it is a shuffle-key fanout, not a correctness knob). A
+hot left key is spread over sub-buckets by the caller's integer
+``n_salt``.
 """
 
 from __future__ import annotations
@@ -92,52 +94,6 @@ def _arrow_schema(ds, type_overrides: dict | None = None) -> pa.Schema:
     return pa.schema(fields)
 
 
-HOT_THRESHOLD = 1 << 20  # left rows per key before auto-salting kicks in
-MAX_HOT_FANOUT = 64
-
-
-def _hot_left_fanouts(
-    left_ds, left_key: str, str_key: bool, key_type, hot_threshold: int
-) -> dict:
-    """Detect skewed LEFT keys: one slim pre-pass (per-batch distinct
-    (key, count) partials -> key groupby -> filter > threshold -> tiny
-    driver table). Returns {key: fanout} with fanout =
-    ceil(count / threshold) capped at MAX_HOT_FANOUT; empty for
-    well-distributed keys. The collected set is bounded by
-    total_left_rows / hot_threshold by construction."""
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        if str_key:
-            vc = t.column(left_key).cast(key_type).to_pandas().value_counts()
-            keys = pa.array(vc.index.to_numpy(), key_type)
-            ns = vc.to_numpy().astype(np.int64)
-        else:
-            key = t.column(left_key).to_numpy(zero_copy_only=False).astype(np.int64)
-            u, c = np.unique(key, return_counts=True)
-            keys = pa.array(u, pa.int64())
-            ns = c.astype(np.int64)
-        return pa.table({"__key": keys, "n": pa.array(ns, pa.int64())})
-
-    def keep_hot(t: pa.Table) -> pa.Table:
-        n = t.column("n").to_numpy()
-        return t.filter(pa.array(n > hot_threshold))
-
-    hot = (
-        left_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__key")
-        .aggregate(Sum("n", alias_name="n"))
-        .map_batches(keep_hot, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if hot.empty:
-        return {}
-    fan = np.minimum(
-        -(-hot["n"].to_numpy(dtype=np.int64) // hot_threshold), MAX_HOT_FANOUT
-    )
-    return {k: int(f) for k, f in zip(hot["__key"].tolist(), fan)}
-
-
 def lookup_join(
     left_ds,
     right_ds,
@@ -146,10 +102,9 @@ def lookup_join(
     attach: dict[str, str],
     n_buckets: int | None = None,
     type_overrides: dict | None = None,
-    n_salt: int | str = 1,
+    n_salt: int = 1,
     multi: bool = False,
     how: str = "inner",
-    hot_threshold: int = HOT_THRESHOLD,
 ):
     """Inner-join ``right_ds``'s ``attach`` columns onto ``left_ds``.
 
@@ -183,25 +138,11 @@ def lookup_join(
     RIGHT row to all of them — the skew escape hatch for a hot left
     key that would otherwise put its whole row mass in one group.
     Right-side shuffle volume multiplies by ``n_salt`` (the right side
-    is the small lookup side by contract), results are identical.
-
-    ``n_salt="auto"`` instead detects the hot keys (one slim pre-pass
-    over the left side: keys with more than ``hot_threshold`` left
-    rows) and salts ONLY them — each hot key's left rows spread over
-    ``ceil(count/threshold)`` sub-buckets (capped at
-    ``MAX_HOT_FANOUT``) and only that key's right rows replicate.
-    Well-distributed inputs pay one counting pass and nothing else;
-    results are identical in every mode. NOTE: the counting pass is a
-    SECOND consumption of ``left_ds`` — a lazy Dataset re-executes its
-    upstream lineage per consumer, so materialize/checkpoint the left
-    side first when its upstream is expensive (line_dedup does)."""
+    is the small lookup side by contract), results are identical."""
     if n_buckets is None:
         n_buckets = default_n_buckets()
-    auto_salt = n_salt == "auto"
-    if auto_salt:
-        n_salt = 1
-    elif not isinstance(n_salt, int) or n_salt < 1:
-        raise ValueError(f'n_salt must be >= 1 or "auto" (got {n_salt!r})')
+    if not isinstance(n_salt, int) or n_salt < 1:
+        raise ValueError(f"n_salt must be an int >= 1 (got {n_salt!r})")
     if how not in ("inner", "semi", "anti"):
         raise ValueError(f"how must be inner|semi|anti (got {how!r})")
     if how != "inner" and attach:
@@ -220,22 +161,6 @@ def lookup_join(
         )
     key_type = pa.large_string() if str_key else pa.int64()
 
-    hot_ref = None
-    hot_span = 1
-    if auto_salt:
-        import ray
-
-        hot_map = _hot_left_fanouts(left_ds, left_key, str_key, key_type, hot_threshold)
-        if hot_map:
-            hot_span = max(hot_map.values())
-            hot_ref = ray.put(hot_map)
-
-    def _fanouts(key_series: pd.Series) -> np.ndarray:
-        import ray
-
-        hot = ray.get(hot_ref)
-        return key_series.map(hot).fillna(1).to_numpy(dtype=np.int64)
-
     def tag_left(t: pa.Table) -> pa.Table:
         cols = {c: t.column(c).cast(left_schema.field(c).type) for c in left_cols}
         if str_key:
@@ -251,10 +176,6 @@ def lookup_join(
         if n_salt > 1:
             salt = np.arange(len(t), dtype=np.int64) % n_salt
             bucket = bucket * n_salt + salt
-        elif hot_ref is not None:
-            fan = _fanouts(cols["__key"].to_pandas())
-            salt = np.arange(len(t), dtype=np.int64) % fan
-            bucket = bucket * hot_span + salt
         cols["__bucket"] = pa.array(bucket)
         return pa.table(cols)
 
@@ -264,17 +185,8 @@ def lookup_join(
         # ('DataFrame' object has no attribute 'rename_columns'), and
         # aggregate outputs feeding a lookup_join are pandas blocks
         t = t.select(right_cols)
-        salt_r = None
         if n_salt > 1:
             t = t.take(np.repeat(np.arange(len(t)), n_salt))
-        elif hot_ref is not None:
-            kv = t.column(right_key).cast(key_type).to_pandas()
-            fan = _fanouts(kv)
-            t = t.take(np.repeat(np.arange(len(t)), fan))
-            # per-replica salt 0..fan-1 via the grouped-arange trick
-            salt_r = np.arange(len(t), dtype=np.int64) - np.repeat(
-                np.cumsum(fan) - fan, fan
-            )
         cols = {}
         for c in left_cols:
             cols[c] = pa.nulls(len(t), left_schema.field(c).type)
@@ -291,10 +203,6 @@ def lookup_join(
         if n_salt > 1:
             salt = np.tile(np.arange(n_salt, dtype=np.int64), len(t) // n_salt)
             bucket = bucket * n_salt + salt
-        elif salt_r is not None:
-            bucket = bucket * hot_span + salt_r
-        elif hot_ref is not None:
-            bucket = bucket * hot_span
         cols["__bucket"] = pa.array(bucket)
         return pa.table(cols)
 

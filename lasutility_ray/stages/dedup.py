@@ -506,10 +506,9 @@ def _verify_pairs_jaccard(cands, ds, id_col: str, text_col: str, threshold: floa
                 ).astype(np.int64)
             )
 
-        need_ref = id_set.remote(cand_refs)
+        wanted = _ray.get(id_set.remote(cand_refs))
 
         def pick(batch: pa.Table) -> pa.Table:
-            wanted = _ray.get(need_ref)
             ids = batch.column(id_col).to_numpy()
             mask = np.isin(ids, wanted)
             return batch.filter(pa.array(mask))
@@ -734,14 +733,13 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     all_sh, _ = _shingle_sets_batch(sample_texts.tolist())
     f_sh, f_df = np.unique(all_sh, return_counts=True)
     keep_f = f_df >= 2  # singletons carry no ordering signal
-    freq_ref = ray.put((f_sh[keep_f], f_df[keep_f]))
+    f_sh, f_df = f_sh[keep_f], f_df[keep_f]
 
     from .cogroup import default_n_buckets
 
     nb = default_n_buckets()
 
     def prefix_rows(batch: pa.Table) -> pa.Table:
-        f_sh_b, f_df_b = ray.get(freq_ref)
         ids = batch.column(id_col).to_numpy()
         texts = batch.column(text_col).to_pylist()
         flat_b, cnt_b = _shingle_sets_batch(texts)
@@ -752,9 +750,9 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         out_n: list = []
         for i in range(len(texts)):
             sh = flat_b[st_b[i] : st_b[i] + cnt_b[i]]
-            if len(f_sh_b):
-                pos = np.minimum(np.searchsorted(f_sh_b, sh), len(f_sh_b) - 1)
-                df = np.where(f_sh_b[pos] == sh, f_df_b[pos], 0)
+            if len(f_sh):
+                pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
+                df = np.where(f_sh[pos] == sh, f_df[pos], 0)
             else:
                 df = np.zeros(len(sh), dtype=np.int64)
             order = np.lexsort((sh, df))  # rarest first, hash tiebreak
@@ -840,7 +838,7 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     all_sh, _ = _shingle_sets_batch(sample_texts.tolist())
     f_sh, f_df = np.unique(all_sh, return_counts=True)
     keep_f = f_df >= 2
-    freq_ref = ray.put((f_sh[keep_f], f_df[keep_f]))
+    f_sh, f_df = f_sh[keep_f], f_df[keep_f]
 
     from .cogroup import default_n_buckets
 
@@ -849,7 +847,6 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
     def role_rows(batch: pa.Table) -> pa.Table:
         """Probe prefixes (role 0) UNION full index rows (role 1)."""
-        f_sh_b, f_df_b = ray.get(freq_ref)
         ids = batch.column(id_col).to_numpy()
         texts = batch.column(text_col).to_pylist()
         flat_b, cnt_b = _shingle_sets_batch(texts)
@@ -863,9 +860,9 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             n_sh_i = len(sh)
             if not n_sh_i:
                 continue
-            if len(f_sh_b):
-                pos = np.minimum(np.searchsorted(f_sh_b, sh), len(f_sh_b) - 1)
-                df = np.where(f_sh_b[pos] == sh, f_df_b[pos], 0)
+            if len(f_sh):
+                pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
+                df = np.where(f_sh[pos] == sh, f_df[pos], 0)
             else:
                 df = np.zeros(n_sh_i, dtype=np.int64)
             order = np.lexsort((sh, df))
@@ -965,10 +962,9 @@ def _verify_pairs_containment(cands, ds, id_col: str, text_col: str,
                 ).astype(np.int64)
             )
 
-        need_ref = id_set.remote(cand_refs)
+        wanted = _ray.get(id_set.remote(cand_refs))
 
         def pick(batch: pa.Table) -> pa.Table:
-            wanted = _ray.get(need_ref)
             ids = batch.column(id_col).to_numpy()
             return batch.filter(pa.array(np.isin(ids, wanted)))
 
@@ -1191,21 +1187,19 @@ def embedding_nn_pairs(ds, threshold: float = COSINE_THRESHOLD):
     ids_all = full["vec_id"].to_numpy()
     mat = np.stack(full["embedding"].to_numpy()).astype(np.float64)
     norms = np.linalg.norm(mat, axis=1)
-    matn = mat / norms[:, None]
-    ref = ray.put((ids_all, matn))
+    m = mat / norms[:, None]
 
     def probe(batch: pa.Table) -> pa.Table:
-        ids_a, m = ray.get(ref)
         ids = batch.column("vec_id").to_numpy()
         vecs = np.stack(batch.column("embedding").to_numpy()).astype(np.float64)
         vecs = vecs / np.linalg.norm(vecs, axis=1)[:, None]
         sims = vecs @ m.T
         pi, qi = np.nonzero(sims >= threshold)
-        keep = ids[pi] < ids_a[qi]  # a < b, no self pairs
+        keep = ids[pi] < ids_all[qi]  # a < b, no self pairs
         return pa.table(
             {
                 "a": pa.array(ids[pi][keep], pa.int64()),
-                "b": pa.array(ids_a[qi][keep], pa.int64()),
+                "b": pa.array(ids_all[qi][keep], pa.int64()),
                 "cosine": pa.array(np.round(sims[pi, qi][keep], 6), pa.float64()),
             }
         )
@@ -1326,13 +1320,11 @@ def embedding_lsh_pairs(
     nb = default_n_buckets()
     rng = np.random.default_rng(7)
     planes = rng.standard_normal((64, n_tables * planes_per_table))
-    planes_ref = ray.put(planes)
     pow2 = 1 << np.arange(planes_per_table, dtype=np.int64)
 
     def keyed(batch: pa.Table) -> pa.Table:
-        p = ray.get(planes_ref)
         vecs = np.stack(batch.column("embedding").to_numpy()).astype(np.float64)
-        signs = (vecs @ p) > 0  # (n, n_tables * planes_per_table)
+        signs = (vecs @ planes) > 0  # (n, n_tables * planes_per_table)
         keys = (
             signs.reshape(len(vecs), n_tables, planes_per_table) * pow2[None, None, :]
         ).sum(axis=2)  # (n, n_tables)
@@ -1414,9 +1406,9 @@ def dedup_corpus(docs_ds, emb_ds, id_col: str = "doc_id", text_col: str = "text"
     recall measurement, not production.
 
     The drop set (non-representative members of near-dup components)
-    is assembled in a Ray task from block refs and broadcast once via
-    ``ray.put`` — it is bounded by the number of near-duplicate docs,
-    never the corpus.
+    is assembled in a Ray task from block refs, fetched once to the
+    driver and captured in the survivor filter — it is bounded by the
+    number of near-duplicate docs, never the corpus.
     """
     keep = exact_dedup(docs_ds, id_col, text_col)
     pairs_fn = embedding_nn_pairs if exact_pairs else embedding_lsh_pairs
@@ -1441,10 +1433,9 @@ def dedup_corpus(docs_ds, emb_ds, id_col: str = "doc_id", text_col: str = "text"
             return np.empty(0, dtype=np.int64)
         return np.unique(pa.concat_tables(ts).column("node").to_numpy())
 
-    drop_ref = drop_set.remote(drop_refs)
+    drop = ray.get(drop_set.remote(drop_refs))
 
     def survivors(t: pa.Table) -> pa.Table:
-        drop = ray.get(drop_ref)
         ids = t.column("keep_id").to_numpy()
         m = ~np.isin(ids, drop)
         return pa.table({"doc_id": pa.array(ids[m], pa.int64())})

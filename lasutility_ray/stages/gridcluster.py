@@ -118,12 +118,11 @@ def grid_clusters(docs_ds):
     comp_sorted = comp.take(
         pa.compute.sort_indices(comp, sort_keys=[("node", "ascending")])
     )
-    comp_ref = ray.put(comp_sorted.combine_chunks())
+    comp_sorted = comp_sorted.combine_chunks()
+    nodes = comp_sorted.column("node").to_numpy()
+    comps = comp_sorted.column("component").to_numpy()
 
-    def label(t: pa.Table, ref=comp_ref) -> pa.Table:
-        ct = ray.get(ref)
-        nodes = ct.column("node").to_numpy()
-        comps = ct.column("component").to_numpy()
+    def label(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         px, py = point_mm(did)
         cell = (px // CELL) * NC + py // CELL

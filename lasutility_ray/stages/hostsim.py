@@ -218,7 +218,6 @@ def similar_hosts(
     f_sh, f_df = np.unique(all_sh, return_counts=True)
     keep_f = f_df >= 2
     f_sh, f_df = f_sh[keep_f], f_df[keep_f]
-    freq_ref = ray.put((f_sh, f_df))
 
     if not force_distributed and int(vocab_ds.sum("n_sh") or 0) <= fast_limit:
         out = ray.get(
@@ -232,7 +231,6 @@ def similar_hosts(
     thr = threshold_e6 / 1_000_000.0
 
     def prefix_rows(t: pa.Table) -> pa.Table:
-        f_sh_b, f_df_b = ray.get(freq_ref)
         hosts = t.column("host").to_pylist()
         vocabs = t.column("vocab").to_pylist()
         sizes = t.column("n_sh").to_numpy()
@@ -241,9 +239,9 @@ def similar_hosts(
         out_n: list = []
         for h, v, n_sh_i in zip(hosts, vocabs, sizes.tolist()):
             sh = np.frombuffer(v, dtype=np.uint64)
-            if len(f_sh_b):
-                pos = np.minimum(np.searchsorted(f_sh_b, sh), len(f_sh_b) - 1)
-                df = np.where(f_sh_b[pos] == sh, f_df_b[pos], 0)
+            if len(f_sh):
+                pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
+                df = np.where(f_sh[pos] == sh, f_df[pos], 0)
             else:
                 df = np.zeros(len(sh), dtype=np.int64)
             order = np.lexsort((sh, df))  # rarest first, hash tiebreak

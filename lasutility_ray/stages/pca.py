@@ -18,8 +18,8 @@ bounded; 64 here -> a few KB per partial). Three stages:
    the d x d matrix yields the principal axes. Sign convention:
    each component's largest-|coefficient| entry is made positive
    (eigenvectors are sign-ambiguous otherwise).
-3. **Project** (map-only): components ship once via ``ray.put``;
-   each batch computes ``(X - mean) @ W`` vectorized.
+3. **Project** (map-only): the projection callable carries the mean
+   and components; each batch computes ``(X - mean) @ W`` vectorized.
 
 Rows-only query (eigendecomposition is not SQL); pytest pins the
 projection against a single-process numpy PCA on the same quantized
@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-import ray
 
 Q = float(1 << 20)  # quantization scale (micro-units)
 
@@ -130,12 +128,10 @@ def pca_project(ds, vec_col: str = "embedding", id_col: str = "vec_id", k: int =
     """Fit on the dataset, then map-only project every vector onto the
     top-k principal axes. Returns (id, pc1..pck) rounded to 9 dp."""
     mean, comps, _ = fit_pca(ds, vec_col, k)
-    ref = ray.put((mean, comps))
 
     def project(t: pa.Table) -> pa.Table:
-        m, c = ray.get(ref)
         x = _embed_matrix(t, vec_col)
-        p = np.round((x - m) @ c, 9)
+        p = np.round((x - mean) @ comps, 9)
         cols = {id_col: t.column(id_col)}
         for j in range(p.shape[1]):
             cols[f"pc{j + 1}"] = pa.array(p[:, j])

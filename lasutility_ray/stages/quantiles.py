@@ -271,27 +271,18 @@ def iqr_filter(
 
     Composition of :func:`group_quantiles` (exact, quantile_cont-
     bit-shaped) with a broadcast fence lookup: the per-group fence
-    table is group-space bounded, shipped once via ``ray.put`` and
-    probed map-only — the corpus is scanned twice (quantiles + filter)
-    with no second shuffle. Fence arithmetic runs in float64 with the
+    table is group-space bounded, carried by the filter callable as
+    a key-indexed Series and probed map-only — the corpus is scanned
+    twice (quantiles + filter) with no second shuffle. Fence arithmetic runs in float64 with the
     same op order as the SQL mirror, so the keep set is value-exact
     even at fence-equality boundaries."""
-    import ray as _ray
-
     q = group_quantiles(ds, group_col, value_col, {"q1": 0.25, "q3": 0.75}).to_pandas()
     iqr = q["q3"].to_numpy() - q["q1"].to_numpy()
-    lo = q["q1"].to_numpy() - k * iqr
-    hi = q["q3"].to_numpy() + k * iqr
-    fence_ref = _ray.put(
-        (
-            dict(zip(q[group_col].tolist(), lo.tolist())),
-            dict(zip(q[group_col].tolist(), hi.tolist())),
-        )
-    )
+    lo_d = pd.Series(q["q1"].to_numpy() - k * iqr, index=q[group_col].to_numpy())
+    hi_d = pd.Series(q["q3"].to_numpy() + k * iqr, index=q[group_col].to_numpy())
     keep_cols = passthrough
 
     def keep(t: pa.Table) -> pa.Table:
-        lo_d, hi_d = _ray.get(fence_ref)
         keys = t.column(group_col).to_pandas()
         v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
         lo_a = keys.map(lo_d).to_numpy(dtype=np.float64)
@@ -335,21 +326,14 @@ def winsorize(
     :func:`group_quantiles` pass, fences broadcast once, map-only
     clip; fence arithmetic in float64 matching the SQL mirror's
     least/greatest, so clipped values are value-exact."""
-    import ray as _ray
-
     q = group_quantiles(
         ds, group_col, value_col, {"lo": p_lo, "hi": p_hi}
     ).to_pandas()
-    fence_ref = _ray.put(
-        (
-            dict(zip(q[group_col].tolist(), q["lo"].tolist())),
-            dict(zip(q[group_col].tolist(), q["hi"].tolist())),
-        )
-    )
+    lo_m = pd.Series(q["lo"].to_numpy(dtype=np.float64), index=q[group_col].to_numpy())
+    hi_m = pd.Series(q["hi"].to_numpy(dtype=np.float64), index=q[group_col].to_numpy())
     keep_cols = passthrough
 
     def clip(t: pa.Table) -> pa.Table:
-        lo_m, hi_m = _ray.get(fence_ref)
         g = t.column(group_col).to_pandas()
         v = t.column(value_col).to_numpy().astype(np.float64)
         lo = g.map(lo_m).to_numpy(dtype=np.float64)

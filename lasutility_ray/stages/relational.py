@@ -121,7 +121,7 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
     above compose into:
 
     1. customers filtered on ``segment`` -> a SMALL key set,
-       broadcast once (``ray.put``) and probed per orders batch: the
+       captured in the orders-batch callable and probed per batch: the
        customer⋈orders edge costs NO shuffle.
     2. qualifying slim orders (o_orderkey, o_orderdate,
        o_orderpriority) become the keyed right side of a bucketed
@@ -149,17 +149,15 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
     keys = cust.filter(pc.equal(cust.column("c_mktsegment"), segment)).select(
         ["c_custkey"]
     )
-    keys_ref = ray.put(keys.combine_chunks())
+    kset = keys.column("c_custkey").combine_chunks()
 
-    def prep_orders(t: pa.Table, ref=keys_ref) -> pa.Table:
+    def prep_orders(t: pa.Table) -> pa.Table:
         # one stateless stage: date filter + broadcast semi filter +
         # epoch-ms conversion (plain tasks — an actor pool's spin-up
-        # costs more than this whole tiny right side; ray.get of the
-        # shared key table is zero-copy)
+        # costs more than this whole tiny right side)
         t = t.filter(
             pc.less(t.column("o_orderdate"), pa.scalar(cutoff_us.item(), pa.timestamp("us")))
         )
-        kset = ray.get(ref).column("c_custkey")
         t = t.filter(pc.is_valid(pc.index_in(t.column("o_custkey"), value_set=kset)))
         ms = t.column("o_orderdate").cast(pa.timestamp("ms")).cast(pa.int64())
         return (
@@ -235,18 +233,17 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
         )
 
     if om.count() <= broadcast_limit:
-        otab = pa.concat_tables(ray.get(om.to_arrow_refs()))
-        oref = ray.put(otab.combine_chunks())
+        otab = pa.concat_tables(ray.get(om.to_arrow_refs())).combine_chunks()
+        okeys = otab.column("o_orderkey")
 
-        def semi_partial(t: pa.Table, ref=oref) -> pa.Table:
-            kset = ray.get(ref).column("o_orderkey")
+        def semi_partial(t: pa.Table) -> pa.Table:
             t = t.filter(
-                pc.is_valid(pc.index_in(t.column("l_orderkey"), value_set=kset))
+                pc.is_valid(pc.index_in(t.column("l_orderkey"), value_set=okeys))
             )
             return rev_partial(t)
 
         @ray.remote
-        def finish(blocks: list, ref, k_: int) -> pa.Table:
+        def finish(blocks: list, ot: pa.Table, k_: int) -> pa.Table:
             blocks = ray.get([b for b in blocks])
             tabs = [
                 b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
@@ -270,9 +267,6 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
                 .rename("revenue_cents")
                 .reset_index()
             )
-            # Ray auto-resolves a top-level ObjectRef arg, so ref IS
-            # the table here; keep the ray.get for defensive reuse
-            ot = ref if isinstance(ref, pa.Table) else ray.get(ref)
             odf = pd.DataFrame(
                 {
                     "l_orderkey": ot.column("o_orderkey").to_numpy(),
@@ -301,7 +295,7 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
             return pa.Table.from_pandas(out, preserve_index=False)
 
         partials = li.map_batches(semi_partial, batch_format="pyarrow")
-        result = ray.get(finish.remote(partials.to_arrow_refs(), oref, k))
+        result = ray.get(finish.remote(partials.to_arrow_refs(), otab, k))
         return rd.from_arrow(result)
 
     per_order_rev = (
@@ -581,8 +575,9 @@ def tpch_q5(sf_dir: str, region: str = "ASIA"):
     3. lineitem joins the order->nation table via a second
        ``lookup_join`` on l_orderkey, carrying (l_suppkey, rev_e4,
        c_nationkey) — the only corpus-sized exchange.
-    4. supplier IS broadcast (ray.put once, read per batch): the
-       s_suppkey -> s_nationkey array is tiny by TPC-H construction;
+    4. supplier IS broadcast (a lookup array built once on the driver
+       and captured in the batch callable): the s_suppkey ->
+       s_nationkey array is tiny by TPC-H construction;
        the c_nationkey == s_nationkey equality filters map-only.
     5. one final groupby over <= 25 nation keys.
 
@@ -634,7 +629,10 @@ def tpch_q5(sf_dir: str, region: str = "ASIA"):
     sup = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     ).combine_chunks()
-    sup_ref = ray.put(sup)
+    skey = sup.column("s_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
+    snat = sup.column("s_nationkey").to_numpy(zero_copy_only=False).astype(np.int64)
+    lut = np.full(int(skey.max()) + 2, -1, dtype=np.int64)
+    lut[skey] = snat
 
     def line_rev(t: pa.Table) -> pa.Table:
         p = np.round(t.column("l_extendedprice").to_numpy() * 100.0).astype(np.int64)
@@ -656,10 +654,10 @@ def tpch_q5(sf_dir: str, region: str = "ASIA"):
     # exchange — and its right side is bounded by the QUALIFYING
     # orders (region-filtered customers' orders), so when it fits
     # the broadcast gate the join becomes a map-only sorted-array
-    # probe (searchsorted per batch against the ray.put table): the
-    # bucketed lookup_join cost 13.4 s at the 10x corpus vs ~2 s
-    # map-only (round-5 measurement). Above the gate the bucketed
-    # join remains the 100 TB shape.
+    # probe (searchsorted per batch against the sorted key array the
+    # callable carries): the bucketed lookup_join cost 13.4 s at the
+    # 10x corpus vs ~2 s map-only (round-5 measurement). Above the
+    # gate the bucketed join remains the 100 TB shape.
     broadcast_limit = 20_000_000
     if order_nation.count() <= broadcast_limit:
         blocks = ray.get(order_nation.to_arrow_refs())
@@ -673,12 +671,10 @@ def tpch_q5(sf_dir: str, region: str = "ASIA"):
         order_sorted = ontab.take(
             pc.sort_indices(ontab, sort_keys=[("o_orderkey", "ascending")])
         )
-        on_ref = ray.put(order_sorted)
+        ok = order_sorted.column("o_orderkey").to_numpy()
+        onat = order_sorted.column("c_nationkey").to_numpy()
 
-        def attach_nation(t: pa.Table, ref=on_ref) -> pa.Table:
-            ot = ray.get(ref)
-            ok = ot.column("o_orderkey").to_numpy()
-            onat = ot.column("c_nationkey").to_numpy()
+        def attach_nation(t: pa.Table) -> pa.Table:
             lk = t.column("l_orderkey").to_numpy()
             pos = np.minimum(np.searchsorted(ok, lk), len(ok) - 1)
             hit = ok[pos] == lk
@@ -697,12 +693,7 @@ def tpch_q5(sf_dir: str, region: str = "ASIA"):
             {"c_nationkey": "c_nationkey"},
         )
 
-    def supplier_match(t: pa.Table, ref=sup_ref) -> pa.Table:
-        s = ray.get(ref)
-        skey = s.column("s_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        snat = s.column("s_nationkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        lut = np.full(int(skey.max()) + 2, -1, dtype=np.int64)
-        lut[skey] = snat
+    def supplier_match(t: pa.Table) -> pa.Table:
         lsk = t.column("l_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
         cn = t.column("c_nationkey").to_numpy(zero_copy_only=False).astype(np.int64)
         s_nat = np.where(lsk < len(lut), lut[np.minimum(lsk, len(lut) - 1)], -1)

@@ -17,12 +17,14 @@ Distributed shape — no global sort, ever:
    a cumsum over the descending scores classifies every score as
    fully-selected (base + total <= budget), fully-dropped
    (base > budget) or THE single boundary score;
-3. non-boundary docs get their flag from a broadcast dict — map-only;
+3. non-boundary docs get their flag from the sorted array of
+   fully-selected scores the flagging callable carries — map-only;
 4. boundary-score docs (one score's worth) run a two-level
-   distributed exclusive prefix sum over doc_id blocks (the
-   ``pack_sequences`` machinery: 65536-doc blocks, per-super-block
-   driver offsets — O(docs / 2^32) driver state), then each block
-   flags its own docs locally against the remaining budget.
+   distributed exclusive prefix sum over doc_id blocks
+   (``webcorpus.block_offset_rows``, shared with ``pack_sequences``:
+   65536-doc blocks, per-super-block driver offsets — O(docs / 2^32)
+   driver state), then each block flags its own docs locally against
+   the remaining budget.
 
 The score histogram plus the boundary prefix is one corpus pass plus
 one boundary-score pass; the wide exchange carries 3 int64s per doc.
@@ -35,7 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
+from .webcorpus import block_offset_rows
 
 BLK = 65536
 STOP_RE = r"\b(the|be|to|of|and|that|have|with)\b"
@@ -93,15 +95,14 @@ def budget_select(docs_ds, budget: int | None = None,
     if budget is None:
         budget = total // 2
 
-    full = set(scores[(bases + tots) <= budget].tolist())
+    full = np.sort(scores[(bases + tots) <= budget])
     boundary = scores[(bases <= budget) & (bases + tots > budget)]
     b_score = int(boundary[0]) if len(boundary) else None
     rem = budget - int(bases[scores == b_score][0]) if b_score is not None else 0
-    full_ref = ray.put(full)
 
     def flag_plain(t: pa.Table) -> pa.Table:
         s = t.column("score").to_numpy(zero_copy_only=False)
-        keep_mask = np.isin(s, np.fromiter(ray.get(full_ref), dtype=np.int64))
+        keep_mask = np.isin(s, full)
         out = t.append_column("selected", pa.array(keep_mask.astype(np.int64)))
         if b_score is None:
             return out
@@ -141,46 +142,12 @@ def budget_select(docs_ds, budget: int | None = None,
     def boundary_rows(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t.column("score"), b_score))
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("__block", pa.array(ids // BLK))
+        return t.select(["doc_id", "n_tok"]).append_column(
+            "__block", pa.array(ids // BLK)
+        )
 
     bdocs = slim.map_batches(boundary_rows, batch_format="pyarrow").materialize()
-
-    bsums = (
-        bdocs.groupby("__block")
-        .aggregate(Sum("n_tok", alias_name="tok"))
-        .map_batches(
-            lambda t: t.append_column(
-                "__super",
-                pa.array(t.column("__block").to_numpy(zero_copy_only=False) // BLK),
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    ssums = bsums.groupby("__super").aggregate(Sum("tok", alias_name="stok")).to_pandas()
-    ssums = ssums.sort_values("__super")
-    s_off = np.zeros(len(ssums), dtype=np.int64)
-    s_off[1:] = np.cumsum(ssums["stok"].to_numpy())[:-1]
-    soff_ref = ray.put(dict(zip(ssums["__super"].tolist(), s_off.tolist())))
-
-    def block_offsets(t: pa.Table) -> pa.Table:
-        blocks = t.column("__block").to_numpy(zero_copy_only=False)
-        toks = t.column("tok").to_numpy(zero_copy_only=False)
-        order = np.argsort(blocks, kind="stable")
-        blocks, toks = blocks[order], toks[order]
-        base = ray.get(soff_ref)[int(t.column("__super")[0].as_py())]
-        off = base + np.cumsum(toks) - toks
-        # offset rows share the boundary-doc schema (doc_id=-1 tag) so
-        # they ride the same groupby(__block) co-group as the docs
-        return pa.table(
-            {
-                "doc_id": pa.array(np.full(len(blocks), -1, dtype=np.int64)),
-                "score": pa.array(np.full(len(blocks), b_score, dtype=np.int64)),
-                "n_tok": pa.array(off, pa.int64()),
-                "__block": pa.array(blocks, pa.int64()),
-            }
-        )
-
-    offs = bsums.groupby("__super").map_groups(block_offsets, batch_format="pyarrow")
+    offs = block_offset_rows(bdocs, "doc_id")
 
     def flag_block(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="stable")
@@ -192,7 +159,7 @@ def budget_select(docs_ds, budget: int | None = None,
         return pd.DataFrame(
             {
                 "doc_id": d["doc_id"].to_numpy(),
-                "score": d["score"].to_numpy(),
+                "score": np.full(len(d), b_score, dtype=np.int64),
                 "n_tok": toks,
                 "selected": (cum_incl <= rem).astype(np.int64),
             }

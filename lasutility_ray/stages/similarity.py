@@ -1,7 +1,7 @@
 """Similarity search over the embeddings table.
 
 - ``ann_topk``: brute-force cosine top-k — the exactness baseline.
-  The query matrix is broadcast once (``ray.put``); every batch does
+  The query matrix travels in the batch callable; every batch does
   one float64 matmul against it (no shuffle). DuckDB-checkable
   (scores rounded to 6 dp; rank ties broken by vec_id).
 - ``ann_topk_ivf``: IVF-style scale path — coarse k-means-ish
@@ -27,7 +27,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 
 # Lehmer (MINSTD) constants shared with quantiles.hash_sample: two
 # steps because one is linear with a small slope over sequential ids.
@@ -120,11 +119,10 @@ def ann_topk(ds, query_ids: np.ndarray, query_mat: np.ndarray, k: int = 5):
     the final reduce is a ``groupby(query_id)`` merge of the k-row
     partials — the shuffle moves k rows per (query, batch), never
     vectors."""
-    qn = _normalize(query_mat.astype(np.float64))
-    ref = ray.put((np.asarray(query_ids, dtype=np.int64), qn))
+    q = _normalize(query_mat.astype(np.float64))
+    q_ids = np.asarray(query_ids, dtype=np.int64)
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        q_ids, q = ray.get(ref)
         ids = batch.column("vec_id").to_numpy()
         m = _normalize(np.stack(batch.column("embedding").to_numpy()).astype(np.float64))
         sims = q @ m.T  # (n_q, n_batch)
@@ -190,17 +188,14 @@ def ann_topk_ivf(ds, query_ids, query_mat, k: int = 5, n_lists: int = 16,
     each query probes its ``n_probe`` closest lists. Recall < 1 by
     design (measured in q_ann_recall)."""
     centroids = _train_centroids(ds, n_lists)
-    cref = ray.put(centroids)
-    qn = _normalize(np.asarray(query_mat, dtype=np.float64))
-    q_lists = np.argsort(-(qn @ centroids.T), axis=1)[:, :n_probe]
-    qref = ray.put((np.asarray(query_ids, dtype=np.int64), qn, q_lists))
+    q = _normalize(np.asarray(query_mat, dtype=np.float64))
+    q_l = np.argsort(-(q @ centroids.T), axis=1)[:, :n_probe]
+    q_ids = np.asarray(query_ids, dtype=np.int64)
 
     def local(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
-        q_ids, q, q_l = ray.get(qref)
         ids = batch.column("vec_id").to_numpy()
         m = _normalize(np.stack(batch.column("embedding").to_numpy()).astype(np.float64))
-        assign = np.argmax(m @ c.T, axis=1)
+        assign = np.argmax(m @ centroids.T, axis=1)
         rows = {"query_id": [], "neighbor_id": [], "cosine": []}
         for qi in range(len(q_ids)):
             probe_mask = np.isin(assign, q_l[qi]) & (ids != q_ids[qi])
@@ -234,18 +229,16 @@ def kmeans_assign(ds, n_clusters: int = 16, sample_n: int = 512, iters: int = 5,
     centroids train on a fixed sample (``_train_centroids``), then ONE
     streaming pass assigns every vector — (vec_id, cluster, cos_sim).
     The 100 TB shape: training touches ``sample_n`` rows, assignment
-    is an embarrassingly-parallel map with the centroid matrix
-    broadcast once via ``ray.put``. ``centroids``/``id_base`` let a
+    is an embarrassingly-parallel map whose callable carries the
+    centroid matrix. ``centroids``/``id_base`` let a
     caller supply pre-trained centroids and offset the emitted cluster
     ids (used by semantic_dedup's recursive hot-cluster splitting)."""
     if centroids is None:
         centroids = _train_centroids(ds, n_clusters, sample_n, iters)
-    cref = ray.put(centroids)
 
     def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
         m = _normalize(np.stack(batch.column("embedding").to_numpy()).astype(np.float64))
-        sims = m @ c.T
+        sims = m @ centroids.T
         a = np.argmax(sims, axis=1)
         return pa.table(
             {
@@ -302,6 +295,18 @@ def _greedy_cluster_dedup(
 # cluster ids below this are "level-0" (raw k-means); ids allocated by
 # hot-cluster splitting start here so the two ranges never collide
 _SPLIT_ID_BASE = 1 << 20
+
+
+def _cluster_filter(clusters: np.ndarray, invert: bool = False):
+    """Batch filter keeping the rows whose ``cluster`` is in
+    ``clusters`` (``invert``: is not). A factory, so each split round's
+    filter holds that round's cluster set."""
+
+    def keep(t: pa.Table) -> pa.Table:
+        mask = np.isin(t.column("cluster").to_numpy(), clusters)
+        return t.filter(pa.array(~mask if invert else mask))
+
+    return keep
 
 
 def semantic_dedup(
@@ -370,19 +375,11 @@ def semantic_dedup(
         # three consumers follow (cold filter, hot filter, recount):
         # pin the slim table so its lineage runs once per round
         asg = asg.materialize()
-        href = ray.put(np.asarray(sorted(hot["cluster"].tolist()), dtype=np.int64))
-
-        def hot_mask_filter(t: pa.Table, r=href, invert=False) -> pa.Table:
-            mask = np.isin(t.column("cluster").to_numpy(), ray.get(r))
-            return t.filter(pa.array(~mask if invert else mask))
-
+        hot_ids = np.sort(hot["cluster"].to_numpy(dtype=np.int64))
         cold = asg.map_batches(
-            lambda t, r=href: hot_mask_filter(t, r, invert=True),
-            batch_format="pyarrow",
+            _cluster_filter(hot_ids, invert=True), batch_format="pyarrow"
         )
-        asg_hot = asg.map_batches(
-            lambda t, r=href: hot_mask_filter(t, r), batch_format="pyarrow"
-        )
+        asg_hot = asg.map_batches(_cluster_filter(hot_ids), batch_format="pyarrow")
         hot_mass = int(hot["count()"].sum())
         if round_no < max_split_rounds:
             # re-cluster the hot members jointly with enough
@@ -411,30 +408,18 @@ def semantic_dedup(
             # ceil(size/target) on the Lehmer hash of vec_id. Loses
             # cross-shard pairs but GUARANTEES the bound even for
             # clusters k-means cannot separate (identical vectors).
-            fan = {
-                int(c): int(f)
-                for c, f in zip(
-                    hot["cluster"].tolist(),
-                    np.maximum(
-                        2, -(-hot["count()"].to_numpy() // target_cluster_size)
-                    ).tolist(),
-                )
-            }
-            bases = {}
-            for c in sorted(fan):
-                bases[c] = next_id
-                next_id += fan[c]
-            fref = ray.put((fan, bases))
+            # (hot_ids is sorted; this is the last round, so the
+            # callable's arrays are not rebound after it is built)
+            by_id = hot.set_index("cluster")["count()"].reindex(hot_ids).to_numpy()
+            fans = np.maximum(2, -(-by_id // target_cluster_size)).astype(np.int64)
+            bases = next_id + np.cumsum(fans) - fans
+            next_id += int(fans.sum())
 
-            def hash_split(t: pa.Table, r=fref) -> pa.Table:
-                fans, base = ray.get(r)
-                cc = t.column("cluster").to_numpy()
+            def hash_split(t: pa.Table) -> pa.Table:
+                pos = np.searchsorted(hot_ids, t.column("cluster").to_numpy())
                 vid = t.column("vec_id").to_numpy().astype(np.int64)
                 h = (vid % _M) * _A % _M * _A % _M
-                out = np.empty(len(cc), dtype=np.int64)
-                for c in np.unique(cc):
-                    mask = cc == c
-                    out[mask] = base[int(c)] + h[mask] % fans[int(c)]
+                out = bases[pos] + h % fans[pos]
                 return t.set_column(
                     t.schema.get_field_index("cluster"),
                     "cluster",
@@ -514,12 +499,10 @@ def pq_encode(ds, codebooks: np.ndarray):
     """One streaming pass: (vec_id, pq_code list<uint8>). The code is
     ``n_sub`` bytes — 32x smaller than the 64-dim float32 embedding —
     which is what lets the ANN working set live in memory at corpus
-    scale. Codebooks broadcast once via ``ray.put``."""
-    cref = ray.put(codebooks)
+    scale. The encoding callable carries the codebooks."""
 
     def encode(batch: pa.Table) -> pa.Table:
-        books = ray.get(cref)
-        n_sub, _, sub_d = books.shape
+        n_sub, _, sub_d = codebooks.shape
         m = _normalize(
             np.stack(batch.column("embedding").to_numpy()).astype(np.float64)
         )
@@ -527,7 +510,7 @@ def pq_encode(ds, codebooks: np.ndarray):
         for s in range(n_sub):
             sub = m[:, s * sub_d : (s + 1) * sub_d]
             # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 -> argmin over c
-            d = -2.0 * (sub @ books[s].T) + (books[s] ** 2).sum(axis=1)[None, :]
+            d = -2.0 * (sub @ codebooks[s].T) + (codebooks[s] ** 2).sum(axis=1)[None, :]
             codes[:, s] = np.argmin(d, axis=1).astype(np.uint8)
         return pa.table(
             {
@@ -575,12 +558,11 @@ def ann_topk_pq(
     qn = _normalize(np.asarray(query_mat, dtype=np.float64))
     n_sub, n_cent, sub_d = codebooks.shape
     # (n_q, n_sub, n_centroids) inner-product lookup tables
-    luts = np.einsum("qsd,scd->qsc", qn.reshape(len(qn), n_sub, sub_d), codebooks)
-    qref = ray.put((np.asarray(query_ids, dtype=np.int64), luts))
+    lut = np.einsum("qsd,scd->qsc", qn.reshape(len(qn), n_sub, sub_d), codebooks)
+    q_ids = np.asarray(query_ids, dtype=np.int64)
     shortlist_k = max(k, refine_factor * k) if refine_factor else k
 
     def local(batch: pa.Table) -> pa.Table:
-        q_ids, lut = ray.get(qref)
         ids = batch.column("vec_id").to_numpy()
         codes = np.stack(
             batch.column("pq_code").to_numpy(zero_copy_only=False)
@@ -624,14 +606,14 @@ def ann_topk_pq(
         right_key="vec_id",
         attach={"embedding": "embedding"},
     )
-    qref2 = ray.put((np.asarray(query_ids, dtype=np.int64), qn))
+    # query id -> row of qn (the last row for a repeated id)
+    q_order = np.argsort(q_ids, kind="stable")
+    q_sorted = q_ids[q_order]
 
     def rescore(df: pd.DataFrame) -> pd.DataFrame:
-        q_ids, q = ray.get(qref2)
-        qpos = {int(qid): i for i, qid in enumerate(q_ids)}
         m = _normalize(np.stack(df["embedding"].to_numpy()).astype(np.float64))
-        qi = np.array([qpos[int(v)] for v in df["query_id"]], np.int64)
-        cos = np.round((m * q[qi]).sum(axis=1), 6)
+        pos = np.searchsorted(q_sorted, df["query_id"].to_numpy(), side="right") - 1
+        cos = np.round((m * qn[q_order[pos]]).sum(axis=1), 6)
         return pd.DataFrame(
             {
                 "query_id": df["query_id"].to_numpy(),
@@ -693,7 +675,7 @@ def mutual_nn(
     order.
 
     ``method="exact"`` (default) is the all-kNN formulation the name
-    promises (small-side matrix broadcast once via ``ray.put``, one
+    promises (small-side matrix carried by the batch callable, one
     float64 matmul per batch) — a library caller gets exact
     reciprocal-NN semantics unless they OPT INTO the approximate
     path. ``method="ivf"`` is the 100 TB scale path: the best match
@@ -711,15 +693,11 @@ def mutual_nn(
         )
     if method != "exact":
         raise ValueError(f"unknown mutual_nn method: {method!r}")
-    import ray
-
     full = ds.to_pandas().sort_values(id_col)  # id order = tie order
-    ids_all = full[id_col].to_numpy()
-    mat = _normalize(np.stack(full[vec_col].to_numpy()).astype(np.float64))
-    ref = ray.put((ids_all, mat))
+    ids_a = full[id_col].to_numpy()
+    m = _normalize(np.stack(full[vec_col].to_numpy()).astype(np.float64))
 
     def best(batch: pa.Table) -> pa.Table:
-        ids_a, m = ray.get(ref)
         ids = batch.column(id_col).to_numpy()
         vecs = _normalize(
             np.stack(batch.column(vec_col).to_numpy()).astype(np.float64)
@@ -785,15 +763,13 @@ def mutual_nn_ivf(
     # a tiny corpus trains fewer centroids than requested (stride
     # seeding caps k at the sample size) — probe width must follow
     n_probe = min(n_probe, len(centroids))
-    cref = ray.put(centroids)
 
     def fanout(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
         ids = batch.column(id_col).to_numpy()
         m = _normalize(
             np.stack(batch.column(vec_col).to_numpy()).astype(np.float64)
         )
-        order = np.argsort(-(m @ c.T), kind="stable", axis=1)[:, :n_probe]
+        order = np.argsort(-(m @ centroids.T), kind="stable", axis=1)[:, :n_probe]
         n = len(ids)
         src = np.repeat(np.arange(n), n_probe)
         return pa.table(

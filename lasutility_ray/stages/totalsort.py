@@ -17,8 +17,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-
 MAXC = 1 << 31
 
 
@@ -60,11 +58,9 @@ def total_sort_ranks(docs_ds, sample_n: int = 4096):
     else:
         qs = np.linspace(0, len(sample) - 1, nb + 1)[1:-1]
         splits = np.unique(sample[qs.astype(np.int64)])
-    splits_ref = ray.put(splits)
 
     def bucketed(t: pa.Table) -> pa.Table:
-        sp = ray.get(splits_ref)
-        b = np.searchsorted(sp, t.column("key").to_numpy(), side="right")
+        b = np.searchsorted(splits, t.column("key").to_numpy(), side="right")
         return t.append_column("__bucket", pa.array(b.astype(np.int64)))
 
     bucketed_ds = slim.map_batches(bucketed, batch_format="pyarrow")
@@ -88,12 +84,9 @@ def total_sort_ranks(docs_ds, sample_n: int = 4096):
     ns = cnt["count()"].to_numpy(np.int64)
     offs = np.zeros(len(ns), np.int64)
     offs[1:] = np.cumsum(ns)[:-1]
-    off_ref = ray.put(dict(zip(ids.tolist(), offs.tolist())))
 
     def finalize(t: pa.Table) -> pa.Table:
-        om = ray.get(off_ref)
-        b = t.column("__bucket").to_numpy()
-        base = np.array([om[int(x)] for x in b], np.int64)
+        base = offs[np.searchsorted(ids, t.column("__bucket").to_numpy())]
         return pa.table(
             {
                 "rank": pa.array(base + t.column("__local").to_numpy(), pa.int64()),

@@ -27,7 +27,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 
 ARR_MUL = 2654435761
 ARR_MOD = 1 << 32
@@ -76,10 +75,10 @@ def late_events(events_ds, lateness_us: int = LATENESS_US):
     # lag = wm - us is formed for the stream's first event
     incoming = np.full(len(mx), -(np.int64(1) << 62), np.int64)
     incoming[1:] = np.maximum.accumulate(mx)[:-1]
-    wm_ref = ray.put(dict(zip(bmax["__block"].tolist(), incoming.tolist())))
+    blocks = bmax["__block"].to_numpy(np.int64)
 
     def scan_block(g: pd.DataFrame) -> pd.DataFrame:
-        base = ray.get(wm_ref)[int(g["__block"].iloc[0])]
+        base = incoming[np.searchsorted(blocks, g["__block"].iloc[0])]
         g = g.sort_values(["arr", "event_id"], kind="mergesort")
         us = g["us"].to_numpy(np.int64)
         run = np.maximum.accumulate(us)

@@ -21,8 +21,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
 from ..corpus.geocode import H1_MUL, M32
 
 # ----------------------------------------------------------- host stats
@@ -247,6 +245,62 @@ def _ntok_batch(t: pa.Table, id_col: str, text_col: str) -> pa.Table:
     )
 
 
+def block_offset_rows(rows_ds, id_col: str):
+    """Two-level exclusive prefix sum of ``n_tok`` over ``__block``
+    (ascending block order) for a ``(id_col, n_tok, __block)`` int64
+    dataset: one offset row per block with the same schema, tagged
+    ``id_col = -1`` and carrying the block's exclusive token offset in
+    ``n_tok``, so it rides the same ``groupby(__block)`` co-group as
+    the rows.
+
+    Per-block sums stay a Dataset; per-SUPER-block sums (``super =
+    block // 65536``, one row per ~4.3B rows at 65536-row blocks)
+    reach the driver, are scanned into super offsets and travel in
+    the per-super cumsum callable as two sorted int64 arrays."""
+    from ray.data.aggregate import Sum
+
+    def with_super(t: pa.Table) -> pa.Table:
+        blocks = t.column("__block").to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table(
+            {
+                "__block": pa.array(blocks, pa.int64()),
+                "tok": t.column("tok"),
+                "__super": pa.array(blocks // PACK_BLOCK, pa.int64()),
+            }
+        )
+
+    bsums = (
+        rows_ds.groupby("__block")
+        .aggregate(Sum("n_tok", alias_name="tok"))
+        .map_batches(with_super, batch_format="pyarrow")
+    )
+    ssums = (
+        bsums.groupby("__super").aggregate(Sum("tok", alias_name="stok")).to_pandas()
+    )
+    ssums = ssums.sort_values("__super")
+    supers = ssums["__super"].to_numpy(dtype=np.int64)
+    s_off = np.zeros(len(ssums), dtype=np.int64)
+    s_off[1:] = np.cumsum(ssums["stok"].to_numpy())[:-1]
+
+    def block_offsets(t: pa.Table) -> pa.Table:
+        blocks = t.column("__block").to_numpy(zero_copy_only=False)
+        toks = t.column("tok").to_numpy(zero_copy_only=False)
+        order = np.argsort(blocks, kind="stable")
+        blocks, toks = blocks[order], toks[order]
+        sup = t.column("__super")[0].as_py()
+        base = s_off[np.searchsorted(supers, sup)]
+        off = base + np.cumsum(toks) - toks
+        return pa.table(
+            {
+                id_col: pa.array(np.full(len(blocks), -1, dtype=np.int64)),
+                "n_tok": pa.array(off, pa.int64()),
+                "__block": pa.array(blocks, pa.int64()),
+            }
+        )
+
+    return bsums.groupby("__super").map_groups(block_offsets, batch_format="pyarrow")
+
+
 def pack_sequences(docs_ds, budget: int, id_col: str = "doc_id", text_col: str = "text"):
     """Concat-and-cut sequence packing: conceptually concatenate all
     documents in ``id_col`` order and cut every ``budget`` tokens (the
@@ -269,6 +323,9 @@ def pack_sequences(docs_ds, budget: int, id_col: str = "doc_id", text_col: str =
        ``id = -1``), so each block packs locally with its offset —
        no broadcast of the block-offset table.
 
+    Steps 2-4 are :func:`block_offset_rows`, shared with
+    ``selection.budget_select``.
+
     Requires non-negative ids (the block arithmetic already does)."""
     if budget <= 0:
         raise ValueError(f"budget must be positive (got {budget})")
@@ -280,52 +337,7 @@ def pack_sequences(docs_ds, budget: int, id_col: str = "doc_id", text_col: str =
         lambda t: _ntok_batch(t, id_col, text_col), batch_format="pyarrow"
     ).materialize()
 
-    from ray.data.aggregate import Sum
-
-    bsums = (
-        slim.groupby("__block")
-        .aggregate(Sum("n_tok", alias_name="tok"))
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "__block": t.column("__block"),
-                    "tok": t.column("tok"),
-                    "__super": pa.array(
-                        t.column("__block").to_numpy(zero_copy_only=False)
-                        // PACK_BLOCK,
-                        pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    ssums = (
-        bsums.groupby("__super").aggregate(Sum("tok", alias_name="stok")).to_pandas()
-    )
-    ssums = ssums.sort_values("__super")
-    s_off = np.zeros(len(ssums), dtype=np.int64)
-    s_off[1:] = np.cumsum(ssums["stok"].to_numpy())[:-1]
-    soff_ref = ray.put(dict(zip(ssums["__super"].tolist(), s_off.tolist())))
-
-    def block_offsets(t: pa.Table) -> pa.Table:
-        blocks = t.column("__block").to_numpy()
-        toks = t.column("tok").to_numpy()
-        order = np.argsort(blocks, kind="stable")
-        blocks, toks = blocks[order], toks[order]
-        base = ray.get(soff_ref)[int(t.column("__super")[0].as_py())]
-        off = base + np.cumsum(toks) - toks
-        # offset rows share the slim schema (id=-1 tags them) so they
-        # ride the same groupby(__block) co-group as the doc rows
-        return pa.table(
-            {
-                id_col: pa.array(np.full(len(blocks), -1, dtype=np.int64)),
-                "n_tok": pa.array(off, pa.int64()),
-                "__block": pa.array(blocks, pa.int64()),
-            }
-        )
-
-    offs = bsums.groupby("__super").map_groups(block_offsets, batch_format="pyarrow")
+    offs = block_offset_rows(slim, id_col)
 
     def pack_block(g: pd.DataFrame) -> pd.DataFrame:
         is_off = g[id_col].to_numpy() < 0

@@ -54,7 +54,6 @@ def write_indexed_shards(
 def point_lookup(path: str, key_col: str, keys: np.ndarray):
     """Exact rows for ``keys``: bloom sidecars prune the shard list,
     the surviving shards scan with the exact key filter."""
-    import ray
     import ray.data as rd
 
     keys = np.asarray(keys, dtype=np.int64)
@@ -74,12 +73,9 @@ def point_lookup(path: str, key_col: str, keys: np.ndarray):
     if not survivors:
         return rd.from_arrow(pa.table({key_col: pa.array([], pa.int64())})), 0, n_total
     ds = rd.read_parquet(survivors)
-    kset = ray.put(np.sort(keys))
+    ks = np.sort(keys)
 
     def exact(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        ks = _ray.get(kset)
         v = t.column(key_col).to_numpy()
         idx = np.searchsorted(ks, v)
         idx = np.minimum(idx, len(ks) - 1)

@@ -130,8 +130,10 @@ def test_lookup_join_salted_hot_key(ray_session):
     with pytest.raises(Exception, match="duplicate"):
         lookup_join(left, dup, "k", "id", {"lab": "lab"}, n_salt=4).materialize()
 
-    with pytest.raises(ValueError, match="n_salt"):
-        lookup_join(left, right, "k", "id", {"lab": "lab"}, n_salt=0)
+    # n_salt takes an int >= 1 and nothing else
+    for bad in (0, "auto", "always"):
+        with pytest.raises(ValueError, match="n_salt"):
+            lookup_join(left, right, "k", "id", {"lab": "lab"}, n_salt=bad)
 
 
 def test_lookup_join_multi_match(ray_session):
@@ -221,94 +223,3 @@ def test_lookup_join_key_family_mismatch(ray_session):
     )
     with pytest.raises(TypeError, match="key families differ"):
         lookup_join(left, right, "k", "id", {"x": "x"})
-
-
-class TestAutoSalt:
-    def _skewed(self, rd):
-        import pandas as pd
-
-        # key 7 is pathologically hot (3000 left rows); others tiny
-        left = pd.DataFrame(
-            {
-                "k": [7] * 3000 + list(range(100)),
-                "v": list(range(3100)),
-            }
-        )
-        right = pd.DataFrame({"k": list(range(100)), "p": list(range(100))})
-        return rd.from_pandas(left), rd.from_pandas(right)
-
-    def test_auto_salt_matches_unsalted(self, ray_session):
-        import pandas as pd
-
-        import ray.data as rd
-
-        from lasutility_ray.stages.cogroup import lookup_join
-
-        lds, rds = self._skewed(rd)
-        plain = (
-            lookup_join(lds, rds, "k", "k", {"p": "p"})
-            .to_pandas()
-            .sort_values(["k", "v"])
-            .reset_index(drop=True)
-        )
-        lds, rds = self._skewed(rd)
-        auto = (
-            lookup_join(lds, rds, "k", "k", {"p": "p"}, n_salt="auto", hot_threshold=500)
-            .to_pandas()
-            .sort_values(["k", "v"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(plain[sorted(plain.columns)], auto[sorted(auto.columns)])
-        assert len(auto) == 3100
-
-    def test_auto_salt_string_keys_and_anti(self, ray_session):
-        import pandas as pd
-
-        import ray.data as rd
-
-        from lasutility_ray.stages.cogroup import lookup_join
-
-        left = pd.DataFrame(
-            {"k": ["hot"] * 2000 + ["a", "b", "c"], "v": list(range(2003))}
-        )
-        right = pd.DataFrame({"k": ["hot", "a"]})
-        for how, expect in (("semi", 2001), ("anti", 2)):
-            import pyarrow as pa
-
-            got = lookup_join(
-                rd.from_pandas(left),
-                rd.from_pandas(right),
-                "k", "k", {}, how=how, n_salt="auto", hot_threshold=100,
-                type_overrides={"k": pa.large_string()},
-            ).to_pandas()
-            assert len(got) == expect, how
-
-    def test_auto_salt_no_hot_keys_is_plain(self, ray_session):
-        import pandas as pd
-
-        import ray.data as rd
-
-        from lasutility_ray.stages.cogroup import lookup_join
-
-        left = pd.DataFrame({"k": list(range(50)), "v": list(range(50))})
-        right = pd.DataFrame({"k": list(range(50)), "p": list(range(50))})
-        out = lookup_join(
-            rd.from_pandas(left), rd.from_pandas(right), "k", "k", {"p": "p"},
-            n_salt="auto",
-        ).to_pandas()
-        assert len(out) == 50
-
-    def test_bad_n_salt_rejected(self, ray_session):
-        import pandas as pd
-
-        import pytest
-
-        import ray.data as rd
-
-        from lasutility_ray.stages.cogroup import lookup_join
-
-        df = pd.DataFrame({"k": [1], "v": [1]})
-        with pytest.raises(ValueError):
-            lookup_join(
-                rd.from_pandas(df), rd.from_pandas(df), "k", "k", {}, n_salt="always"
-            )

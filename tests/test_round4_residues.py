@@ -224,15 +224,33 @@ def test_two_hop_fast_path_equal(ray_session):
     assert len(fast) > 0
 
 
-def test_checkpoint_manifest_leaves_no_tmp_dir(ray_session, oracle_con):
-    """q_checkpoint_manifest removes its checkpoint directory, and its
-    per-tile point counts equal the q_manifest_counts oracle."""
+# queries that write a scratch directory: (query, mkdtemp prefix)
+TMP_DIR_QUERIES = [
+    ("q_zonemap_prune", "clustered_events_"),
+    ("q_jsonl_roundtrip", "jsonl_docs_"),
+    ("q_schema_evolution", "evolve_"),
+    ("q_quarantine", "quarantine_"),
+    ("q_bloom_index", "bloomidx_"),
+    ("q_checkpoint_manifest", "ckpt_query_"),
+]
+
+
+@pytest.mark.parametrize("name,prefix", TMP_DIR_QUERIES, ids=[q for q, _ in TMP_DIR_QUERIES])
+def test_query_leaves_no_tmp_dir(ray_session, oracle_con, name, prefix):
+    """The query removes its scratch directory once its result is
+    materialized, and the result still equals its oracle (the
+    q_manifest_counts oracle's per-tile point counts for
+    q_checkpoint_manifest, which is rows-only)."""
     import __ray_entry__ as e
 
-    pattern = os.path.join(tempfile.gettempdir(), "ckpt_query_*")
+    pattern = os.path.join(tempfile.gettempdir(), prefix + "*")
     before = set(glob.glob(pattern))
-    df = e.q_checkpoint_manifest(SF).to_pandas()
+    df = getattr(e, name)(SF).to_pandas()
     assert set(glob.glob(pattern)) <= before
-    ref = oracle_con.execute(e.oracle_sql()["q_manifest_counts"]).df()
-    got = df[["key", "n_points"]]
-    pd.testing.assert_frame_equal(_canon(got), _canon(ref[["key", "n_points"]]), check_dtype=True)
+    if name == "q_checkpoint_manifest":
+        ref = oracle_con.execute(e.oracle_sql()["q_manifest_counts"]).df()
+        df, ref = df[["key", "n_points"]], ref[["key", "n_points"]]
+    else:
+        ref = oracle_con.execute(e.oracle_sql()[name]).df()
+    assert len(df) > 0
+    pd.testing.assert_frame_equal(_canon(df), _canon(ref), check_dtype=True)

@@ -2,6 +2,8 @@
 interval expansion — value-exact vs DuckDB plus a hand-built pin of
 the window cover/clamp semantics."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -897,13 +899,24 @@ def test_quarantine_sink_holds_exactly_the_poison(ray_session, tmp_path):
         return t
 
     qdir = str(tmp_path / "q")
-    out = quarantine_map_batches(
-        rd.from_pandas(src), f, qdir, batch_size=16
-    ).to_pandas()
-    assert sorted(out["doc_id"]) == [i for i in range(50) if i not in (7, 23)]
-    bad = pq.read_table(qdir).to_pandas()
+
+    def run() -> tuple[list, pd.DataFrame]:
+        out = quarantine_map_batches(
+            rd.from_pandas(src), f, qdir, batch_size=16
+        ).to_pandas()
+        assert sorted(out["doc_id"]) == [i for i in range(50) if i not in (7, 23)]
+        bad = pq.read_table(qdir).to_pandas()
+        bad = bad.sort_values("doc_id", kind="mergesort").reset_index(drop=True)
+        return sorted(os.listdir(qdir)), bad
+
+    files, bad = run()
     assert sorted(bad["doc_id"]) == [7, 23]
     assert bad["__error"].str.contains("boom").all()
+
+    # a re-run into the same sink republishes the same part files
+    files2, bad2 = run()
+    assert files2 == files
+    pd.testing.assert_frame_equal(bad2, bad)
 
 
 # ------------------------------------------------------ merge upsert

@@ -2,6 +2,10 @@
 
 - An AST guard fails on any new ``map_batches`` actor pool in the
   engine, the contract module or the bench script.
+- A second AST guard fails on any ``ray.get`` inside a function passed
+  to ``map_batches`` or ``map_groups``: a driver-built value travels
+  inside the callable, converted once on the driver, instead of being
+  re-read from the object store on every batch.
 - A 1-CPU session runs the PIP join, the token stats and a zero-pending
   TIN resume, and gets its CPU back right after: fixed or autoscaling
   actor pools deadlocked such a session, starved it, or held its CPU
@@ -28,6 +32,11 @@ SF = "/root/testdata/sf0.001"
 # call allowed to run an actor pool: sites where a tasks-vs-actors
 # sweep showed the pool faster. None are left.
 ACTOR_POOL_ALLOWED: set[tuple[str, str]] = set()
+
+
+# (file relative to the repo, name of the batch callable) of every
+# map_batches / map_groups callable allowed to call ray.get. None are.
+RAY_GET_ALLOWED: set[tuple[str, str]] = set()
 
 
 def _scanned_files() -> list[str]:
@@ -86,6 +95,125 @@ def test_no_actor_pool_map_batches():
     assert n_calls > 100  # the walk really reaches the engine's stages
     assert sites == [], "map_batches actor pools outside the allow-list:\n" + "\n".join(
         f"  {f}:{line} in {fn}(): {why}" for f, fn, line, why in sites
+    )
+
+
+def _is_ray_get(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("ray", "_ray")
+    )
+
+
+def _definitions(scope: ast.AST, name: str) -> list[ast.AST]:
+    """``def name`` / ``class name`` / ``name = lambda`` nodes inside
+    ``scope`` (any depth, so a def under an ``if`` or a loop counts)."""
+    found = []
+    for n in ast.walk(scope):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if n.name == name and n is not scope:
+                found.append(n)
+        elif isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda):
+            if any(isinstance(t, ast.Name) and t.id == name for t in n.targets):
+                found.append(n.value)
+    return found
+
+
+def _resolve(name: str, at: ast.AST, parents: dict, tree: ast.Module) -> list[ast.AST]:
+    """Definitions of a bare ``name`` as seen from node ``at``: the
+    innermost enclosing function that defines it, else the module."""
+    p = parents.get(at)
+    while p is not None:
+        if isinstance(p, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found = _definitions(p, name)
+            if found:
+                return found
+        p = parents.get(p)
+    return [
+        n for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and n.name == name
+    ]
+
+
+def _callable_bodies(fn: ast.AST, parents: dict, tree: ast.Module) -> list[ast.AST]:
+    """AST nodes whose code runs per batch for a map_batches /
+    map_groups callable expression: a lambda, a def resolved by name,
+    the returned closure of a factory call, a ``partial``'s target or
+    a callable class's ``__call__``."""
+    if isinstance(fn, ast.Lambda):
+        return [fn]
+    if isinstance(fn, ast.Name):
+        defs = _resolve(fn.id, fn, parents, tree)
+    elif isinstance(fn, ast.Call) and isinstance(fn.func, ast.Name):
+        if fn.func.id == "partial" and fn.args:
+            return _callable_bodies(fn.args[0], parents, tree)
+        defs = _resolve(fn.func.id, fn, parents, tree)
+    else:
+        return []
+    out = []
+    for d in defs:
+        if isinstance(d, ast.ClassDef):
+            out += [
+                m for m in d.body
+                if isinstance(m, ast.FunctionDef) and m.name == "__call__"
+            ]
+        else:
+            out.append(d)
+    return out
+
+
+def _ray_get_in_batch_fns() -> tuple[int, list[tuple[str, str, int]]]:
+    """(number of map_batches/map_groups calls, ray.get sites reached
+    from their callables, following same-module calls by bare name)."""
+    n_calls, sites = 0, set()
+    for path in _scanned_files():
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        rel = os.path.relpath(path, REPO)
+        parents = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("map_batches", "map_groups")
+            ):
+                continue
+            n_calls += 1
+            fn = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords if kw.arg == "fn"), None
+            )
+            label = ast.unparse(fn)[:60] if fn is not None else "?"
+            if (rel, label) in RAY_GET_ALLOWED:
+                continue
+            todo = _callable_bodies(fn, parents, tree) if fn is not None else []
+            seen: set[int] = set()
+            while todo:
+                body = todo.pop()
+                if id(body) in seen:
+                    continue
+                seen.add(id(body))
+                for n in ast.walk(body):
+                    if _is_ray_get(n):
+                        sites.add((rel, label, n.lineno))
+                    elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name):
+                        todo += [
+                            d for d in _resolve(n.func.id, n, parents, tree)
+                            if not isinstance(d, ast.ClassDef)
+                        ]
+    return n_calls, sorted(sites)
+
+
+def test_no_ray_get_in_batch_functions():
+    n_calls, sites = _ray_get_in_batch_fns()
+    assert n_calls > 200  # the walk really reaches the engine's stages
+    assert sites == [], (
+        "ray.get inside map_batches/map_groups callables (capture the value "
+        "in the callable instead):\n"
+        + "\n".join(f"  {f}:{line} via {fn}" for f, fn, line in sites)
     )
 
 
