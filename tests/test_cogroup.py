@@ -130,8 +130,8 @@ def test_lookup_join_salted_hot_key(ray_session):
     with pytest.raises(Exception, match="duplicate"):
         lookup_join(left, dup, "k", "id", {"lab": "lab"}, n_salt=4).materialize()
 
-    # n_salt takes an int >= 1 and nothing else
-    for bad in (0, "auto", "always"):
+    # n_salt takes an int >= 1 and nothing else ("always": TestAutoSalt)
+    for bad in (0, "auto"):
         with pytest.raises(ValueError, match="n_salt"):
             lookup_join(left, right, "k", "id", {"lab": "lab"}, n_salt=bad)
 
@@ -223,3 +223,13 @@ def test_lookup_join_key_family_mismatch(ray_session):
     )
     with pytest.raises(TypeError, match="key families differ"):
         lookup_join(left, right, "k", "id", {"x": "x"})
+
+
+class TestAutoSalt:
+    # lookup_join has no "auto" salting mode; a string n_salt is refused
+    def test_bad_n_salt_rejected(self, ray_session):
+        df = pd.DataFrame({"k": [1], "v": [1]})
+        with pytest.raises(ValueError, match="n_salt"):
+            lookup_join(
+                rd.from_pandas(df), rd.from_pandas(df), "k", "k", {}, n_salt="always"
+            )
