@@ -3414,16 +3414,18 @@ def q_manifest_counts(sf_dir: str):
     resume path preserves per-partition lineage counters exactly
     (wall_s / content_hash / n_triangles stay rows-only in
     q_checkpoint_manifest)."""
-    import hashlib as _hl
     import shutil
+    import tempfile
 
     from lasutility_ray.state import resumable_tin_tiles
 
-    out_dir = f"/tmp/ckpt_counts_{_hl.md5(sf_dir.encode()).hexdigest()[:8]}"
-    shutil.rmtree(out_dir, ignore_errors=True)
-    pts = _points(sf_dir)
-    resumable_tin_tiles(pts, out_dir)
-    manifest = resumable_tin_tiles(pts, out_dir)  # resume: no recompute
+    out_dir = tempfile.mkdtemp(prefix="ckpt_counts_")
+    try:
+        pts = _points(sf_dir)
+        resumable_tin_tiles(pts, out_dir)
+        manifest = resumable_tin_tiles(pts, out_dir)  # resume: no recompute
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
     return manifest.select(["key", "n_points", "n_ground"])
 
 

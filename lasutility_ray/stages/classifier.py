@@ -79,6 +79,9 @@ FEATURE_SCALE = {
 }
 
 MICRO = 1_000_000  # gradient / weight quantization unit
+# feature rows (~6 int64 cols -> ~240 MB gathered) under which every GD
+# iteration runs locally in one task
+ONETASK_LIMIT = 5_000_000
 
 
 def featurize_documents(ds, text_col: str = "text"):
@@ -177,12 +180,11 @@ def train_quality_logreg(
 
     Round-5 shape: synchronous GD is ``iters`` sequential passes, and
     each Ray pass costs ~0.45 s of fixed exchange — 15 rounds paid
-    ~7 s for a 5000-row slim table. Below ``onetask_limit`` rows the
+    ~7 s for a 5000-row slim table. Below ``ONETASK_LIMIT`` rows the
     gathered slim table runs every iteration locally in one task
     (measured 7.5 s -> ~1.5 s); the distributed loop remains the
     above-gate path for feature tables that outgrow one worker."""
     feature_cols = feature_cols or FEATURES
-    onetask_limit = 5_000_000  # rows; ~6 int64 cols -> ~240 MB gathered
 
     def label(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -194,39 +196,30 @@ def train_quality_logreg(
     )
     slim = slim.materialize()  # slim int64 columns; consumed `iters` times
 
-    if slim.count() <= onetask_limit:
-        import ray as _ray
+    if slim.count() <= ONETASK_LIMIT:
+        from .cogroup import one_task
 
-        @_ray.remote
-        def gd_local(blocks: list, iters_: int, lr_: float) -> tuple:
-            blocks = _ray.get([b for b in blocks])
-            frames = [
-                b.to_pandas() if hasattr(b, "to_pandas") else b
-                for b in blocks
-                if (b.num_rows if hasattr(b, "num_rows") else len(b))
-            ]
-            df = pd.concat(frames, ignore_index=True)
+        def gd_local(t) -> tuple:
+            df = t.to_pandas()
             w_ = np.zeros(len(feature_cols), np.float64)
             b_ = 0.0
             hist = []
             n = len(df)
-            for it in range(iters_):
+            for it in range(iters):
                 sums = _grad_partial(df, w_, b_, feature_cols)
                 g = np.array(
                     [sums[f"g{j}"][0] for j in range(len(feature_cols))],
                     np.float64,
                 ) / (MICRO * n)
                 gb = sums["gb"][0] / (MICRO * n)
-                w_ -= lr_ * g
-                b_ -= lr_ * gb
+                w_ -= lr * g
+                b_ -= lr * gb
                 hist.append(
                     {"iter": it, "loss_micro": sums["loss"][0] // max(n, 1)}
                 )
             return w_, b_, hist
 
-        w, b, history = _ray.get(
-            gd_local.remote(slim.to_arrow_refs(), iters, lr)
-        )
+        w, b, history = one_task(gd_local, slim)
     else:
         w = np.zeros(len(feature_cols), np.float64)
         b = 0.0

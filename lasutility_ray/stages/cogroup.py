@@ -254,6 +254,40 @@ def lookup_join(
     return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pandas")
 
 
+def one_task(fn, *args):
+    """Run ``fn(*args)`` in ONE Ray task and return its result to the
+    driver: the engine's bounded-finish idiom (map-side combine ->
+    slim partials -> one-task finish behind a size gate), and its only
+    ``ray.remote``.
+
+    Each ``ray.data.Dataset`` argument arrives inside the task as one
+    concatenated ``pa.Table``, or ``None`` when it has no rows. Its
+    block refs stream to the task, never through the driver; pandas
+    blocks become Arrow, and zero-row or column-less blocks are
+    dropped. Other arguments pass through unchanged."""
+    import ray
+    from ray.data import Dataset
+
+    @ray.remote
+    def run(fn, args, block_refs):
+        args = list(args)
+        for i, refs in block_refs.items():
+            # refs nested in a list are not resolved by Ray
+            blocks = [
+                b if isinstance(b, pa.Table) else pa.Table.from_pandas(b, preserve_index=False)
+                for b in ray.get(refs)
+            ]
+            blocks = [b for b in blocks if b.num_rows and b.num_columns]
+            args[i] = pa.concat_tables(blocks) if blocks else None
+        return fn(*args)
+
+    block_refs = {
+        i: a.to_arrow_refs() for i, a in enumerate(args) if isinstance(a, Dataset)
+    }
+    plain = [None if i in block_refs else a for i, a in enumerate(args)]
+    return ray.get(run.remote(fn, plain, block_refs))
+
+
 def group_apply_bucketed(ds, key_col: str, fn, n_buckets: int | None = None):
     """``ds.groupby(key_col).map_groups(fn)`` with the per-group UDF
     dispatch paid at C speed.

@@ -38,6 +38,9 @@ from .lm import TOKEN_RE
 
 SCALE = 1_000_000
 _I64_MAX = (1 << 63) - 1
+# per-batch bigram partial rows under which the whole tail finishes
+# in one task
+ONETASK_LIMIT = 20_000_000
 
 
 def lift_e6(c_ab: np.ndarray, c_a: np.ndarray, c_b: np.ndarray, n_tot: int) -> np.ndarray:
@@ -99,25 +102,23 @@ def _pair_partial(t: pa.Table, pat) -> pa.Table:
     )
 
 
-def collocations(docs_ds, k: int = 25, min_count: int = 5,
-                 onetask_limit: int = 20_000_000):
+def collocations(docs_ds, k: int = 25, min_count: int = 5):
     """documents -> top-``k`` (a, b, c_ab, lift_e6) collocations with
     c_ab >= ``min_count``, ordered by (lift_e6 DESC, a, b).
 
     Round-5 shape: the per-batch distinct-bigram partials are
     vocabulary-bounded, not corpus-bounded, so below
-    ``onetask_limit`` partial rows the entire tail (bigram sum,
+    ``ONETASK_LIMIT`` partial rows the entire tail (bigram sum,
     marginals, lift, top-k) finishes in ONE task on the gathered slim
     partials — the previous chain paid a multi-key STRING aggregate
     (the known ~10 s Ray 2.49 exchange), two more string groupbys and
     two string lookup_joins for a vocabulary-sized problem. Above the
     limit the distributed chain remains (the 100 TB shape when the
     bigram space outgrows one worker)."""
-    import ray as _ray
-
+    import ray.data as _rd
     from ray.data.aggregate import Sum
 
-    from .cogroup import lookup_join
+    from .cogroup import lookup_join, one_task
 
     pat = re.compile(TOKEN_RE)
 
@@ -126,17 +127,10 @@ def collocations(docs_ds, k: int = 25, min_count: int = 5,
         .map_batches(lambda t: _pair_partial(t, pat), batch_format="pyarrow")
         .materialize()
     )
-    if parts.count() <= onetask_limit:
+    if parts.count() <= ONETASK_LIMIT:
 
-        @_ray.remote
-        def finish(blocks: list, k_: int, min_count_: int) -> pa.Table:
-            blocks = _ray.get([b for b in blocks])
-            tabs = [
-                b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
-                for b in blocks
-                if (b.num_rows if isinstance(b, pa.Table) else len(b))
-            ]
-            if not tabs:
+        def finish(t: pa.Table | None) -> pa.Table:
+            if t is None:
                 return pa.table(
                     {
                         "a": pa.array([], pa.string()),
@@ -145,7 +139,7 @@ def collocations(docs_ds, k: int = 25, min_count: int = 5,
                         "lift_e6": pa.array([], pa.int64()),
                     }
                 )
-            df = pa.concat_tables(tabs).to_pandas()
+            df = t.to_pandas()
             cab_l = (
                 df.groupby(["a", "b"], sort=False)["c"].sum().reset_index(name="c_ab")
             )
@@ -153,7 +147,7 @@ def collocations(docs_ds, k: int = 25, min_count: int = 5,
             c_a = cab_l.groupby("a", sort=False)["c_ab"].transform("sum").to_numpy()
             c_b = cab_l.groupby("b", sort=False)["c_ab"].transform("sum").to_numpy()
             c_ab_v = cab_l["c_ab"].to_numpy().astype(np.int64)
-            keep = c_ab_v >= min_count_
+            keep = c_ab_v >= min_count
             lift = lift_e6(c_ab_v[keep], c_a[keep], c_b[keep], n_tot)
             out = pd.DataFrame(
                 {
@@ -164,14 +158,10 @@ def collocations(docs_ds, k: int = 25, min_count: int = 5,
                 }
             ).sort_values(
                 ["lift_e6", "a", "b"], ascending=[False, True, True], kind="stable"
-            ).head(k_)
+            ).head(k)
             return pa.Table.from_pandas(out, preserve_index=False)
 
-        import ray.data as _rd
-
-        return _rd.from_arrow(
-            _ray.get(finish.remote(parts.to_arrow_refs(), k, min_count))
-        )
+        return _rd.from_arrow(one_task(finish, parts))
 
     cab = (
         parts.groupby(["a", "b"])

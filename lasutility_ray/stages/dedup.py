@@ -30,8 +30,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-
 N_PERM = 64
 N_BANDS = 16
 ROWS_PER_BAND = 4
@@ -452,104 +450,59 @@ def _shingle_set_rows(ds, id_col: str, text_col: str):
 VERIFY_SMALL_LIMIT = 2_000_000  # candidate pairs that fit one verify task
 
 
-def _block_as_table(x) -> pa.Table:
-    """Dataset block -> pa.Table (``to_arrow_refs`` can surface pandas
-    blocks for stages that ran in pandas format)."""
-    return x if isinstance(x, pa.Table) else pa.Table.from_pandas(x, preserve_index=False)
-
-
-def _verify_pairs_jaccard(cands, ds, id_col: str, text_col: str, threshold: float,
-                          small_limit: int = VERIFY_SMALL_LIMIT):
-    """Exact-Jaccard verification of a candidate (a, b) pair Dataset.
-    Nothing corpus-proportional ever lands on the driver in either
-    path:
+def _verify_pairs(cands, ds, id_col: str, text_col: str, empty: pa.Table, metric):
+    """Exact verification of a candidate (a, b) pair Dataset, shared
+    by the Jaccard and containment joins. ``metric(a, b, sh_a, sh_b)``
+    scores aligned pair-id arrays against the two lists of packed
+    shingle sets and returns the qualifying rows (schema of
+    ``empty``). Nothing corpus-proportional ever lands on the driver
+    in either path:
 
     - **small candidate sets** (the normal case — candidates are
-      near-dup evidence, orders below the corpus): one Ray task pulls
-      the candidate blocks, the needed shingle sets are filtered out
-      of the corpus with a broadcast id set, and the task verifies —
-      two narrow passes, no shuffle.
-    - **huge candidate sets**: the pairs co-group twice against the
-      per-doc shingle-set table (on a, then on b —
+      near-dup evidence, orders below the corpus): one task builds the
+      candidate id set, the needed shingle sets are picked out of the
+      corpus with it, and one task verifies — two narrow passes, no
+      shuffle.
+    - **above** ``VERIFY_SMALL_LIMIT`` pairs: the pairs co-group twice
+      against the per-doc shingle-set table (on a, then on b —
       ``cogroup.lookup_join``) and verification runs inside
       map_batches on the joined rows.
     """
-    import ray as _ray
     import ray.data as _rd
 
-    from .cogroup import lookup_join
+    from .cogroup import lookup_join, one_task
 
-    empty = pa.table(
-        {
-            "a": pa.array([], pa.int64()),
-            "b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64()),
-        }
-    )
     cands = cands.materialize()
-    as_table = _block_as_table
     n_cands = cands.count()
     if n_cands == 0:
         return _rd.from_arrow(empty)
 
-    if n_cands <= small_limit:
-        cand_refs = cands.to_arrow_refs()
-
-        @_ray.remote
-        def id_set(refs):
-            ts = [as_table(t) for t in _ray.get(list(refs))]
-            ts = [t for t in ts if t.num_rows]
-            t = pa.concat_tables(ts)
-            return np.unique(
-                np.concatenate(
-                    [t.column("a").to_numpy(), t.column("b").to_numpy()]
-                ).astype(np.int64)
-            )
-
-        wanted = _ray.get(id_set.remote(cand_refs))
+    if n_cands <= VERIFY_SMALL_LIMIT:
+        wanted = one_task(
+            lambda t: np.unique(
+                np.concatenate([t.column("a").to_numpy(), t.column("b").to_numpy()])
+            ).astype(np.int64),
+            cands,
+        )
 
         def pick(batch: pa.Table) -> pa.Table:
             ids = batch.column(id_col).to_numpy()
-            mask = np.isin(ids, wanted)
-            return batch.filter(pa.array(mask))
+            return batch.filter(pa.array(np.isin(ids, wanted)))
 
-        sig_refs = (
-            _shingle_set_rows(
-                ds.map_batches(pick, batch_format="pyarrow"), id_col, text_col
-            )
-        ).to_arrow_refs()
+        sig = _shingle_set_rows(
+            ds.map_batches(pick, batch_format="pyarrow"), id_col, text_col
+        )
 
-        @_ray.remote
-        def verify_task(c_refs, s_refs):
-            ct = pa.concat_tables(
-                [t for t in map(as_table, _ray.get(list(c_refs))) if t.num_rows]
-            )
-            st_list = [t for t in map(as_table, _ray.get(list(s_refs))) if t.num_rows]
-            if not st_list:
+        def verify_task(ct: pa.Table, st: pa.Table | None) -> pa.Table:
+            if st is None:
                 return empty
-            st = pa.concat_tables(st_list)
             lookup = dict(zip(st.column("id").to_pylist(), st.column("sh").to_pylist()))
             a = ct.column("a").to_numpy()
             b = ct.column("b").to_numpy()
-            jac = np.empty(len(a), dtype=np.float64)
-            for i in range(len(a)):
-                u = np.frombuffer(lookup[a[i]], dtype=np.uint64)
-                v = np.frombuffer(lookup[b[i]], dtype=np.uint64)
-                inter = len(np.intersect1d(u, v, assume_unique=True))
-                union = len(u) + len(v) - inter
-                jac[i] = inter / union if union else 1.0
-            keep = jac >= threshold
-            return pa.table(
-                {
-                    "a": pa.array(a[keep], pa.int64()),
-                    "b": pa.array(b[keep], pa.int64()),
-                    "jaccard": pa.array(jac[keep], pa.float64()),
-                }
-            )
+            return metric(a, b, [lookup[x] for x in a], [lookup[x] for x in b])
 
-        return _rd.from_arrow(_ray.get(verify_task.remote(cand_refs, sig_refs)))
+        return _rd.from_arrow(one_task(verify_task, cands, sig))
 
-    # huge-candidate fallback: co-grouped joins, fully distributed
     sig = _shingle_set_rows(ds, id_col, text_col).materialize()
 
     # n_salt: a viral near-dup doc appears in a large share of the
@@ -561,10 +514,28 @@ def _verify_pairs_jaccard(cands, ds, id_col: str, text_col: str, threshold: floa
     )
 
     def verify(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy()
-        b = batch.column("b").to_numpy()
-        sa = batch.column("sh_a").to_pylist()
-        sb = batch.column("sh_b").to_pylist()
+        return metric(
+            batch.column("a").to_numpy(),
+            batch.column("b").to_numpy(),
+            batch.column("sh_a").to_pylist(),
+            batch.column("sh_b").to_pylist(),
+        )
+
+    return j2.map_batches(verify, batch_format="pyarrow")
+
+
+def _verify_pairs_jaccard(cands, ds, id_col: str, text_col: str, threshold: float):
+    """Exact-Jaccard verification of candidate (a, b) pairs ->
+    (a, b, jaccard) for pairs with Jaccard >= ``threshold``."""
+    empty = pa.table(
+        {
+            "a": pa.array([], pa.int64()),
+            "b": pa.array([], pa.int64()),
+            "jaccard": pa.array([], pa.float64()),
+        }
+    )
+
+    def metric(a, b, sa, sb) -> pa.Table:
         jac = np.empty(len(a), dtype=np.float64)
         for i in range(len(a)):
             u = np.frombuffer(sa[i], dtype=np.uint64)
@@ -581,7 +552,7 @@ def _verify_pairs_jaccard(cands, ds, id_col: str, text_col: str, threshold: floa
             }
         )
 
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return _verify_pairs(cands, ds, id_col, text_col, empty, metric)
 
 
 def minhash_dedup_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -705,6 +676,41 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 # ------------------------------------------------- n-gram jaccard
 
 
+def sampled_shingle_df(ds, text_col: str, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted shingle hashes, document frequencies) over the first
+    ``n_docs`` docs of ``ds``: the fixed-size table (not a corpus
+    materialization) behind the rarest-first order. Shingles seen in
+    one sampled doc only are dropped — they carry no ordering
+    signal."""
+    sample = ds.limit(n_docs).select_columns([text_col]).to_pandas()
+    # a zero-row dataset loses its schema through to_pandas
+    texts = sample[text_col].tolist() if text_col in sample.columns else []
+    all_sh, _ = _shingle_sets_batch(texts)
+    f_sh, f_df = np.unique(all_sh, return_counts=True)
+    keep = f_df >= 2
+    return f_sh[keep], f_df[keep]
+
+
+def rarest_first_prefix(sh: np.ndarray, f_sh: np.ndarray, f_df: np.ndarray,
+                        threshold: float) -> np.ndarray:
+    """The ``n - ceil(t*n) + 1`` first shingles of the set ``sh``
+    under the shared rarest-first total order (sampled document
+    frequency asc, hash asc; see :func:`sampled_shingle_df`). Two sets
+    with similarity >= ``threshold`` must share a prefix shingle, so
+    emitting only prefixes as bucket keys finds every such pair."""
+    if len(f_sh):
+        pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
+        df = np.where(f_sh[pos] == sh, f_df[pos], 0)
+    else:
+        df = np.zeros(len(sh), dtype=np.int64)
+    order = np.lexsort((sh, df))  # rarest first, hash tiebreak
+    # epsilon guards float ceil((1-0.8)*10) style misrounding (a short
+    # prefix breaks the completeness theorem; a long one only adds
+    # candidates)
+    n = len(sh)
+    return sh[order[: n - int(np.ceil(threshold * n - 1e-9)) + 1]]
+
+
 def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                         threshold: float = 0.8, freq_sample_docs: int = 2000):
     """EXACT word-3-gram Jaccard join via prefix filtering (the
@@ -725,15 +731,7 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     one O(n^2) bucket. Prefix volume still scales with (1 - t); very
     low thresholds make any exact set-similarity join quadratic-ish."""
 
-    # sampled document-frequency table (fixed size — not a corpus
-    # materialization), broadcast once
-    sample_texts = (
-        ds.limit(freq_sample_docs).select_columns([text_col]).to_pandas()[text_col]
-    )
-    all_sh, _ = _shingle_sets_batch(sample_texts.tolist())
-    f_sh, f_df = np.unique(all_sh, return_counts=True)
-    keep_f = f_df >= 2  # singletons carry no ordering signal
-    f_sh, f_df = f_sh[keep_f], f_df[keep_f]
+    f_sh, f_df = sampled_shingle_df(ds, text_col, freq_sample_docs)
 
     from .cogroup import default_n_buckets
 
@@ -750,18 +748,7 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         out_n: list = []
         for i in range(len(texts)):
             sh = flat_b[st_b[i] : st_b[i] + cnt_b[i]]
-            if len(f_sh):
-                pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
-                df = np.where(f_sh[pos] == sh, f_df[pos], 0)
-            else:
-                df = np.zeros(len(sh), dtype=np.int64)
-            order = np.lexsort((sh, df))  # rarest first, hash tiebreak
-            # p = n - ceil(t*n) + 1, with epsilon guarding float
-            # ceil((1-0.8)*10) style misrounding (a short prefix breaks
-            # the completeness theorem; a long one only adds candidates)
-            n_sh_i = len(sh)
-            p = n_sh_i - int(np.ceil(threshold * n_sh_i - 1e-9)) + 1
-            pref = sh[order[:p]]
+            pref = rarest_first_prefix(sh, f_sh, f_df, threshold)
             out_sh.append(pref)
             out_id.append(np.full(len(pref), ids[i], dtype=np.int64))
             out_n.append(np.full(len(pref), len(sh), dtype=np.int64))
@@ -832,13 +819,7 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     intersection count in integer millionths; the prune-free SQL
     mirror doubles as the prefix filter's losslessness proof.
     """
-    sample_texts = (
-        ds.limit(freq_sample_docs).select_columns([text_col]).to_pandas()[text_col]
-    )
-    all_sh, _ = _shingle_sets_batch(sample_texts.tolist())
-    f_sh, f_df = np.unique(all_sh, return_counts=True)
-    keep_f = f_df >= 2
-    f_sh, f_df = f_sh[keep_f], f_df[keep_f]
+    f_sh, f_df = sampled_shingle_df(ds, text_col, freq_sample_docs)
 
     from .cogroup import default_n_buckets
 
@@ -860,14 +841,7 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             n_sh_i = len(sh)
             if not n_sh_i:
                 continue
-            if len(f_sh):
-                pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
-                df = np.where(f_sh[pos] == sh, f_df[pos], 0)
-            else:
-                df = np.zeros(n_sh_i, dtype=np.int64)
-            order = np.lexsort((sh, df))
-            p = n_sh_i - int(np.ceil(t_frac * n_sh_i - 1e-9)) + 1
-            pref = sh[order[:p]]
+            pref = rarest_first_prefix(sh, f_sh, f_df, t_frac)
             out_sh.append(pref)
             out_id.append(np.full(len(pref), ids[i], dtype=np.int64))
             out_role.append(np.zeros(len(pref), dtype=np.int64))
@@ -909,17 +883,10 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
 
 def _verify_pairs_containment(cands, ds, id_col: str, text_col: str,
-                              threshold_e6: int,
-                              small_limit: int = VERIFY_SMALL_LIMIT):
+                              threshold_e6: int):
     """Exact containment verification of ordered candidate (a, b)
-    pairs — same two-path shape as :func:`_verify_pairs_jaccard`
-    (one-task small path / co-grouped joins above ``small_limit``);
-    output (a, b, n_a, inter, cont_e6) in exact integer millionths."""
-    import ray as _ray
-    import ray.data as _rd
-
-    from .cogroup import lookup_join
-
+    pairs -> (a, b, n_a, inter, cont_e6) in exact integer millionths,
+    for pairs with containment >= ``threshold_e6``."""
     empty = pa.table(
         {
             "a": pa.array([], pa.int64()),
@@ -929,13 +896,15 @@ def _verify_pairs_containment(cands, ds, id_col: str, text_col: str,
             "cont_e6": pa.array([], pa.int64()),
         }
     )
-    cands = cands.materialize()
-    as_table = _block_as_table
-    n_cands = cands.count()
-    if n_cands == 0:
-        return _rd.from_arrow(empty)
 
-    def _finish(a, b, na, inter):
+    def metric(a, b, sa, sb) -> pa.Table:
+        na = np.empty(len(a), dtype=np.int64)
+        inter = np.empty(len(a), dtype=np.int64)
+        for i in range(len(a)):
+            u = np.frombuffer(sa[i], dtype=np.uint64)
+            v = np.frombuffer(sb[i], dtype=np.uint64)
+            na[i] = len(u)
+            inter[i] = len(np.intersect1d(u, v, assume_unique=True))
         cont = (inter * 1_000_000) // na
         keep = cont >= threshold_e6
         return pa.table(
@@ -948,77 +917,7 @@ def _verify_pairs_containment(cands, ds, id_col: str, text_col: str,
             }
         )
 
-    if n_cands <= small_limit:
-        cand_refs = cands.to_arrow_refs()
-
-        @_ray.remote
-        def id_set(refs):
-            ts = [as_table(t) for t in _ray.get(list(refs))]
-            ts = [t for t in ts if t.num_rows]
-            t = pa.concat_tables(ts)
-            return np.unique(
-                np.concatenate(
-                    [t.column("a").to_numpy(), t.column("b").to_numpy()]
-                ).astype(np.int64)
-            )
-
-        wanted = _ray.get(id_set.remote(cand_refs))
-
-        def pick(batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_numpy()
-            return batch.filter(pa.array(np.isin(ids, wanted)))
-
-        sig_refs = (
-            _shingle_set_rows(
-                ds.map_batches(pick, batch_format="pyarrow"), id_col, text_col
-            )
-        ).to_arrow_refs()
-
-        @_ray.remote
-        def verify_task(c_refs, s_refs):
-            ct = pa.concat_tables(
-                [t for t in map(as_table, _ray.get(list(c_refs))) if t.num_rows]
-            )
-            st_list = [t for t in map(as_table, _ray.get(list(s_refs))) if t.num_rows]
-            if not st_list:
-                return empty
-            st = pa.concat_tables(st_list)
-            lookup = dict(zip(st.column("id").to_pylist(), st.column("sh").to_pylist()))
-            a = ct.column("a").to_numpy()
-            b = ct.column("b").to_numpy()
-            na = np.empty(len(a), dtype=np.int64)
-            inter = np.empty(len(a), dtype=np.int64)
-            for i in range(len(a)):
-                u = np.frombuffer(lookup[a[i]], dtype=np.uint64)
-                v = np.frombuffer(lookup[b[i]], dtype=np.uint64)
-                na[i] = len(u)
-                inter[i] = len(np.intersect1d(u, v, assume_unique=True))
-            return _finish(a, b, na, inter)
-
-        return _rd.from_arrow(_ray.get(verify_task.remote(cand_refs, sig_refs)))
-
-    sig = _shingle_set_rows(ds, id_col, text_col).materialize()
-    j1 = lookup_join(cands, sig, "a", "id", {"sh": "sh_a"}, n_salt=8)
-    j2 = lookup_join(
-        j1, sig, "b", "id", {"sh": "sh_b"}, type_overrides={"sh_a": pa.binary()},
-        n_salt=8,
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy()
-        b = batch.column("b").to_numpy()
-        sa = batch.column("sh_a").to_pylist()
-        sb = batch.column("sh_b").to_pylist()
-        na = np.empty(len(a), dtype=np.int64)
-        inter = np.empty(len(a), dtype=np.int64)
-        for i in range(len(a)):
-            u = np.frombuffer(sa[i], dtype=np.uint64)
-            v = np.frombuffer(sb[i], dtype=np.uint64)
-            na[i] = len(u)
-            inter[i] = len(np.intersect1d(u, v, assume_unique=True))
-        return _finish(a, b, na, inter)
-
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return _verify_pairs(cands, ds, id_col, text_col, empty, metric)
 
 
 # ------------------------------------- duplicate-group resolution
@@ -1051,9 +950,7 @@ def _cc_numpy(a: np.ndarray, b: np.ndarray) -> pa.Table:
     )
 
 
-def duplicate_components(
-    pairs_ds, max_iters: int = 50, local_edge_limit: int = LOCAL_CC_EDGE_LIMIT
-):
+def duplicate_components(pairs_ds, max_iters: int = 50):
     """Connected components over a near-dup pair graph -> (node,
     component) where component = min node id reachable — the
     "keep one per duplicate cluster" resolution step (keep id ==
@@ -1064,14 +961,15 @@ def duplicate_components(
     CC in ONE Ray task: block refs stream to the task (never the
     driver) and a vectorized numpy min-label propagation with pointer
     doubling finishes in O(log diameter) passes. Graphs above
-    ``local_edge_limit`` edges fall back to fully-distributed
+    ``LOCAL_CC_EDGE_LIMIT`` edges fall back to fully-distributed
     iterative label propagation (``cogroup.lookup_join`` across the
     edge list per round, ONE monotone-sum scalar to the driver per
     round) — each distributed round costs a few shuffles, which is
     exactly why the small-graph case should never use it.
     """
-    import ray as _ray
     import ray.data as _rd
+
+    from .cogroup import one_task
 
     n_edges = pairs_ds.count()
     if n_edges == 0:
@@ -1080,8 +978,8 @@ def duplicate_components(
                 {"node": pa.array([], pa.int64()), "component": pa.array([], pa.int64())}
             )
         )
-    if n_edges <= local_edge_limit:
-        blocks = pairs_ds.map_batches(
+    if n_edges <= LOCAL_CC_EDGE_LIMIT:
+        ab = pairs_ds.map_batches(
             lambda t: pa.table(
                 {
                     "a": t.column("a").combine_chunks().cast(pa.int64()),
@@ -1089,15 +987,10 @@ def duplicate_components(
                 }
             ),
             batch_format="pyarrow",
-        ).to_arrow_refs()
-
-        @_ray.remote
-        def cc_task(refs):
-            tables = [_block_as_table(x) for x in _ray.get(list(refs))]
-            t = pa.concat_tables([x for x in tables if x.num_rows])
-            return _cc_numpy(t.column("a").to_numpy(), t.column("b").to_numpy())
-
-        out = _ray.get(cc_task.remote(blocks))
+        )
+        out = one_task(
+            lambda t: _cc_numpy(t.column("a").to_numpy(), t.column("b").to_numpy()), ab
+        )
         return _rd.from_arrow(out).sort("node")
 
     from ray.data.aggregate import Min
@@ -1273,19 +1166,14 @@ def embedding_lsh_pairs(
     derived inputs pay one extra upstream execution on the small
     branch only (forced-fallback test pins both paths equal).
     """
-    from .cogroup import default_n_buckets
+    from .cogroup import default_n_buckets, one_task
 
     n_vecs = ds.count()
     if n_vecs <= exact_limit:
-        import ray as _ray
         import ray.data as _rd
 
-        refs = ds.materialize().to_arrow_refs()
-
-        @_ray.remote
-        def exact_pairs(refs, threshold):
-            ts = [t for t in map(_block_as_table, _ray.get(list(refs))) if t.num_rows]
-            if not ts:
+        def exact_pairs(full: pa.Table | None) -> pa.Table:
+            if full is None:
                 return pa.table(
                     {
                         "a": pa.array([], pa.int64()),
@@ -1293,7 +1181,6 @@ def embedding_lsh_pairs(
                         "cosine": pa.array([], pa.float64()),
                     }
                 )
-            full = pa.concat_tables(ts)
             ids = full.column("vec_id").to_numpy()
             m = np.stack(full.column("embedding").to_numpy()).astype(np.float64)
             m = m / np.linalg.norm(m, axis=1)[:, None]
@@ -1313,7 +1200,7 @@ def embedding_lsh_pairs(
                 }
             )
 
-        return _rd.from_arrow(_ray.get(exact_pairs.remote(refs, threshold)))
+        return _rd.from_arrow(one_task(exact_pairs, ds))
 
     if n_tables is None:
         n_tables = lsh_tables_for(threshold, planes_per_table)
@@ -1410,11 +1297,13 @@ def dedup_corpus(docs_ds, emb_ds, id_col: str = "doc_id", text_col: str = "text"
     driver and captured in the survivor filter — it is bounded by the
     number of near-duplicate docs, never the corpus.
     """
+    from .cogroup import one_task
+
     keep = exact_dedup(docs_ds, id_col, text_col)
     pairs_fn = embedding_nn_pairs if exact_pairs else embedding_lsh_pairs
     comp = duplicate_components(pairs_fn(emb_ds, threshold=threshold))
 
-    drop_refs = comp.map_batches(
+    drop_nodes = comp.map_batches(
         lambda t: pa.table(
             {
                 "node": t.column("node").filter(
@@ -1423,17 +1312,13 @@ def dedup_corpus(docs_ds, emb_ds, id_col: str = "doc_id", text_col: str = "text"
             }
         ),
         batch_format="pyarrow",
-    ).to_arrow_refs()
-
-    @ray.remote
-    def drop_set(refs):
-        ts = [_block_as_table(t) for t in ray.get(list(refs))]
-        ts = [t for t in ts if t.num_rows]
-        if not ts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(pa.concat_tables(ts).column("node").to_numpy())
-
-    drop = ray.get(drop_set.remote(drop_refs))
+    )
+    drop = one_task(
+        lambda t: np.empty(0, dtype=np.int64)
+        if t is None
+        else np.unique(t.column("node").to_numpy()),
+        drop_nodes,
+    )
 
     def survivors(t: pa.Table) -> pa.Table:
         ids = t.column("keep_id").to_numpy()

@@ -34,7 +34,10 @@ NCELL = 24_000_000 // CELL_MM  # 48
 def dem_slope(docs_ds):
     """documents -> (ci, cj, z_cm, max_dz_cm) per occupied cell with
     at least one occupied rook neighbor."""
+    import ray.data as rd
     from ray.data.aggregate import Max
+
+    from .cogroup import one_task
 
     def cells(t: pa.Table) -> pa.Table:
         d = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -53,8 +56,8 @@ def dem_slope(docs_ds):
         .groupby(["ci", "cj"])
         .aggregate(Max("z_cm", alias_name="z_cm"))
     )
-    return cell_max.repartition(1).map_batches(
-        slope_frame, batch_format="pandas", batch_size=None
+    return rd.from_pandas(
+        one_task(lambda t: pd.DataFrame() if t is None else slope_frame(t.to_pandas()), cell_max)
     )
 
 

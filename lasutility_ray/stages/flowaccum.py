@@ -40,8 +40,10 @@ OFFS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 def flow_accumulation(docs_ds):
     """documents -> (ci, cj, z_cm, acc) per occupied 500 m cell."""
+    import ray.data as rd
     from ray.data.aggregate import Max
 
+    from .cogroup import one_task
     from .snap import point_mm
 
     def cells(t: pa.Table) -> pa.Table:
@@ -61,8 +63,8 @@ def flow_accumulation(docs_ds):
         .groupby(["ci", "cj"])
         .aggregate(Max("z_cm", alias_name="z_cm"))
     )
-    return cell_max.repartition(1).map_batches(
-        accum_frame, batch_format="pandas", batch_size=None
+    return rd.from_pandas(
+        one_task(lambda t: pd.DataFrame() if t is None else accum_frame(t.to_pandas()), cell_max)
     )
 
 

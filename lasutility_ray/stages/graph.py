@@ -46,7 +46,8 @@ N_HOST_SITES = 1000
 N_ITERS = 5
 
 # distributed-path machinery kicks in above this many edges; below it
-# one task holds the (tiny) host graph. Forced in tests both ways.
+# one task holds the (tiny) host graph. Tests force the distributed
+# path by patching this constant to 0.
 FAST_PATH_MAX_EDGES = 2_000_000
 
 
@@ -109,18 +110,19 @@ def _pagerank_local(edges: pd.DataFrame, n_iters: int) -> pd.DataFrame:
     return pd.DataFrame({"host_id": hosts, "rank_e9": r})
 
 
-def pagerank_hosts(docs_ds, n_iters: int = N_ITERS, force_distributed: bool = False):
+def pagerank_hosts(docs_ds, n_iters: int = N_ITERS):
     """documents -> (host_id, rank_e9) after ``n_iters`` exact
     fixed-point PageRank rounds over the host link graph."""
     import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    from .cogroup import lookup_join
+    from .cogroup import lookup_join, one_task
 
     edges = host_edges(docs_ds).materialize()
-    if not force_distributed and edges.count() <= FAST_PATH_MAX_EDGES:
-        out = _pagerank_local(edges.to_pandas(), n_iters)
-        return rd.from_pandas(out)
+    if edges.count() <= FAST_PATH_MAX_EDGES:
+        return rd.from_pandas(
+            one_task(lambda t: _pagerank_local(t.to_pandas(), n_iters), edges)
+        )
 
     # ---- distributed path: same recurrence, Dataset algebra only
     out_w = edges.groupby("src").aggregate(Sum("w", alias_name="out_w"))
@@ -373,16 +375,14 @@ def _local_triangle_frame(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"host": nodes[nz], "n_triangles": cnt[nz]})
 
 
-def triangle_counts_from_edges(
-    edges, n_buckets: int | None = None, local_edge_limit: int = LOCAL_TRI_EDGE_LIMIT
-):
+def triangle_counts_from_edges(edges, n_buckets: int | None = None):
     """Triangle counts from a MATERIALIZED distinct-edge table —
     callers that already built the edges (clustering_coefficients)
     pass them here instead of paying the corpus scan + distinct
     twice.
 
     Size-adaptive (the dup_components pattern): below
-    ``local_edge_limit`` edges the whole count runs in ONE task with
+    ``LOCAL_TRI_EDGE_LIMIT`` edges the whole count runs in ONE task with
     the vectorized kernel — the distributed path's two degree joins +
     wedge + closing shuffles cost ~15 s of fixed overhead that a
     small graph can never amortize (measured 16.6 s -> ~2 s on the
@@ -390,14 +390,20 @@ def triangle_counts_from_edges(
     node-iterator below; a forced-path test pins both bit-identical."""
     from ray.data.aggregate import Sum
 
-    from .cogroup import _bucket_of, default_n_buckets, lookup_join
+    import ray.data as rd
+
+    from .cogroup import _bucket_of, default_n_buckets, lookup_join, one_task
 
     if n_buckets is None:
         n_buckets = default_n_buckets()
 
-    if edges.count() <= local_edge_limit:
-        return edges.repartition(1).map_batches(
-            _local_triangle_frame, batch_format="pandas", batch_size=None
+    if edges.count() <= LOCAL_TRI_EDGE_LIMIT:
+        return rd.from_pandas(
+            one_task(
+                lambda t: pd.DataFrame() if t is None
+                else _local_triangle_frame(t.to_pandas()),
+                edges,
+            )
         )
 
     def ends(t: pa.Table) -> pa.Table:
@@ -590,7 +596,7 @@ def _bfs_local(edges: pd.DataFrame, max_hops: int) -> pd.DataFrame:
     )
 
 
-def bfs_hops(docs_ds, max_hops: int = MAX_HOPS, force_distributed: bool = False):
+def bfs_hops(docs_ds, max_hops: int = MAX_HOPS):
     """Multi-source BFS over the undirected host graph: hop distance
     (<= ``max_hops``) from the deterministic seed set
     ``host_id % 97 == 0`` to every reachable host.
@@ -603,17 +609,19 @@ def bfs_hops(docs_ds, max_hops: int = MAX_HOPS, force_distributed: bool = False)
     count (loop exit). Distances are integers, so the result is
     partitioning-independent and value-exact vs the unrolled-CTE SQL
     mirror (:func:`bfs_hops_sql`). Local fast path below
-    ``FAST_PATH_MAX_EDGES`` edges; ``force_distributed`` pins both
-    paths identical in tests.
+    ``FAST_PATH_MAX_EDGES`` edges, pinned identical to the
+    distributed path in tests.
     """
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    from .cogroup import lookup_join
+    from .cogroup import lookup_join, one_task
 
     edges = undirected_host_edges(docs_ds).materialize()
-    if not force_distributed and edges.count() <= FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(_bfs_local(edges.to_pandas(), max_hops))
+    if edges.count() <= FAST_PATH_MAX_EDGES:
+        return rd.from_pandas(
+            one_task(lambda t: _bfs_local(t.to_pandas(), max_hops), edges)
+        )
 
     def both_dirs(t: pa.Table) -> pa.Table:
         u = t.column("u").combine_chunks()
@@ -765,7 +773,7 @@ def _sssp_local(edges: pd.DataFrame, rounds: int) -> pd.DataFrame:
     )
 
 
-def sssp_hosts(docs_ds, rounds: int = SSSP_ROUNDS, force_distributed: bool = False):
+def sssp_hosts(docs_ds, rounds: int = SSSP_ROUNDS):
     """Multi-source WEIGHTED shortest paths over the directed host
     graph: exact min cost over paths of <= ``rounds`` edges from the
     seed set ``host_id % 97 == 0`` (bfs_hops' seeds), edge cost
@@ -786,18 +794,20 @@ def sssp_hosts(docs_ds, rounds: int = SSSP_ROUNDS, force_distributed: bool = Fal
     one scalar per round (frontier count, loop exit). Integer costs
     make every step order-independent -> value-exact vs the
     unrolled-CTE mirror (:func:`sssp_hosts_sql`). Local fast path
-    below ``FAST_PATH_MAX_EDGES``; ``force_distributed`` pins both
-    paths identical in tests.
+    below ``FAST_PATH_MAX_EDGES``, pinned identical to the
+    distributed path in tests.
     """
     import ray.data as rd
     from ray.data.aggregate import Min
 
-    from .cogroup import lookup_join
+    from .cogroup import lookup_join, one_task
 
     assert rounds < 63, "round tag packs into v = d*64 + r"
     edges = host_edges(docs_ds).materialize()
-    if not force_distributed and edges.count() <= FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(_sssp_local(edges.to_pandas(), rounds))
+    if edges.count() <= FAST_PATH_MAX_EDGES:
+        return rd.from_pandas(
+            one_task(lambda t: _sssp_local(t.to_pandas(), rounds), edges)
+        )
 
     # BLOCK-TYPE HAZARD (pinned by test_sssp_forced_distributed): join
     # outputs are pandas blocks and EMPTY blocks bypass map_batches

@@ -164,7 +164,7 @@ def _two_hop_local(edges_df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def two_hop_sizes(docs_ds, local_edge_limit: int | None = None):
+def two_hop_sizes(docs_ds):
     """Per-host 2-hop neighborhood size: |{nodes reachable in <= 2
     undirected hops}| excluding the host itself — the local reach
     metric behind influence estimates and supernode detection.
@@ -176,15 +176,11 @@ def two_hop_sizes(docs_ds, local_edge_limit: int | None = None):
     salt supernodes if not); the union of 1-hop
     and 2-hop rows collapses through a coarse-bucket distinct before
     one single-key count. No multi-key aggregate anywhere. Below
-    ``local_edge_limit`` symmetric edges (graph.py
-    FAST_PATH_MAX_EDGES default) the whole chain runs in ONE task —
-    4 wide stages of fixed shuffle overhead on a bounded edge table
-    (pass 0 to force the distributed path; pinned equal)."""
-    from .cogroup import default_n_buckets, lookup_join
+    graph.py's ``FAST_PATH_MAX_EDGES`` symmetric edges the whole chain
+    runs in ONE task — 4 wide stages of fixed shuffle overhead on a
+    bounded edge table (pinned equal to the distributed chain)."""
+    from .cogroup import default_n_buckets, lookup_join, one_task
     from .graph import FAST_PATH_MAX_EDGES, undirected_host_edges
-
-    if local_edge_limit is None:
-        local_edge_limit = FAST_PATH_MAX_EDGES
 
     nb = default_n_buckets()
 
@@ -203,10 +199,10 @@ def two_hop_sizes(docs_ds, local_edge_limit: int | None = None):
         .map_batches(sym, batch_format="pyarrow")
         .materialize()
     )
-    if edges.count() <= local_edge_limit:
+    if edges.count() <= FAST_PATH_MAX_EDGES:
         import ray.data as rd
 
-        return rd.from_pandas(_two_hop_local(edges.to_pandas()))
+        return rd.from_pandas(one_task(lambda t: _two_hop_local(t.to_pandas()), edges))
     hop2 = lookup_join(
         edges, edges, "dst", "src", {"dst": "dst2"}, multi=True
     )
@@ -320,11 +316,10 @@ def _kruskal_frame(df: pd.DataFrame) -> pd.DataFrame:
     ).sort_values(["u", "v"]).reset_index(drop=True)
 
 
-def mst_forest(docs_ds, distributed: bool = False,
-               local_edge_limit: int = MST_LOCAL_EDGE_LIMIT):
+def mst_forest(docs_ds):
     """Minimum spanning forest of the weighted host graph ->
-    (u, v, w) chosen edges. Size-adaptive: one-task Kruskal by
-    default; ``distributed=True`` forces the log-round BORŮVKA
+    (u, v, w) chosen edges. Size-adaptive: one-task Kruskal up to
+    ``MST_LOCAL_EDGE_LIMIT`` edges, above it the log-round BORŮVKA
     contraction — per round every component picks its minimum
     outgoing edge (a per-comp argmin groupby), the chosen comp-graph
     contracts through the pinned CC kernel, and node labels update by
@@ -335,12 +330,16 @@ def mst_forest(docs_ds, distributed: bool = False,
     in pytest."""
     import ray.data as rd
 
+    from .cogroup import one_task
     from .graph import undirected_host_edges
 
     edges = undirected_host_edges(docs_ds).materialize()
-    if not distributed and edges.count() <= local_edge_limit:
-        return edges.repartition(1).map_batches(
-            _kruskal_frame, batch_format="pandas", batch_size=None
+    if edges.count() <= MST_LOCAL_EDGE_LIMIT:
+        return rd.from_pandas(
+            one_task(
+                lambda t: pd.DataFrame() if t is None else _kruskal_frame(t.to_pandas()),
+                edges,
+            )
         )
     return _mst_boruvka(edges)
 

@@ -59,7 +59,7 @@ def grid_clusters(docs_ds):
     lookup_join + CC + labeling lookup_join) = ~4.5 s of fixed
     exchange cost at every scale for a world-bounded graph; now ~1.5 s
     and exactly one all-to-all-free corpus pass each way."""
-    import ray
+    from .cogroup import one_task
 
     def to_cells(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -74,22 +74,14 @@ def grid_clusters(docs_ds):
         to_cells, batch_format="pyarrow"
     )
 
-    @ray.remote
-    def finish(blocks: list) -> pa.Table:
+    def finish(t: pa.Table | None) -> pa.Table:
         from .dedup import _cc_numpy
 
-        blocks = ray.get([b for b in blocks])
-        tabs = [
-            b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
-            for b in blocks
-            if (b.num_rows if isinstance(b, pa.Table) else len(b))
-        ]
         empty = pa.table(
             {"node": pa.array([], pa.int64()), "component": pa.array([], pa.int64())}
         )
-        if not tabs:
+        if t is None:
             return empty
-        t = pa.concat_tables(tabs)
         cell = t.column("cell").to_numpy(zero_copy_only=False).astype(np.int64)
         n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
         u, inv = np.unique(cell, return_inverse=True)
@@ -114,7 +106,7 @@ def grid_clusters(docs_ds):
             dsts.append(cand[hit])
         return _cc_numpy(np.concatenate(srcs), np.concatenate(dsts))
 
-    comp = ray.get(finish.remote(partials.to_arrow_refs()))
+    comp = one_task(finish, partials)
     comp_sorted = comp.take(
         pa.compute.sort_indices(comp, sort_keys=[("node", "ascending")])
     )

@@ -30,7 +30,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..corpus.geocode import H1_MUL, M32
-from .graph import FAST_PATH_MAX_EDGES, N_HOST_SITES, host_edges
+from . import graph
+from .graph import N_HOST_SITES, host_edges
 
 SCALE = 1_000_000_000
 N_ITERS = 4
@@ -62,17 +63,19 @@ def _hits_local(edges: pd.DataFrame, n_iters: int) -> pd.DataFrame:
     )
 
 
-def hits_hosts(docs_ds, n_iters: int = N_ITERS, force_distributed: bool = False):
+def hits_hosts(docs_ds, n_iters: int = N_ITERS):
     """documents -> (host_id, hub_e9, auth_e9) after ``n_iters``
     max-normalized integer HITS rounds over the host link graph."""
     import ray.data as rd
     from ray.data.aggregate import Count, Max, Sum
 
-    from .cogroup import lookup_join
+    from .cogroup import lookup_join, one_task
 
     edges = host_edges(docs_ds).materialize()
-    if not force_distributed and edges.count() <= FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(_hits_local(edges.to_pandas(), n_iters))
+    if edges.count() <= graph.FAST_PATH_MAX_EDGES:
+        return rd.from_pandas(
+            one_task(lambda t: _hits_local(t.to_pandas(), n_iters), edges)
+        )
 
     hosts = (
         edges.select_columns(["src"])

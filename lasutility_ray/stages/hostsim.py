@@ -33,10 +33,13 @@ import pyarrow as pa
 
 import ray
 
-from .dedup import _pair_indices, _shingle_sets_batch
+from .dedup import _pair_indices, _shingle_sets_batch, rarest_first_prefix, sampled_shingle_df
 from .webcorpus import add_host
 
 THRESHOLD_E6 = 800_000  # Jaccard 0.8 in exact millionths
+# total vocab shingles (~160 MB of uint64) under which the whole
+# candidate + verify chain runs in one task
+FAST_LIMIT = 20_000_000
 
 
 def _host_vocab(pages_ds, url_col: str = "url", text_col: str = "text"):
@@ -92,15 +95,8 @@ def _similar_pairs_local(
     sizes = vocab_tbl.column("n_sh").to_numpy()
     out_sh: list = []
     out_hi: list = []
-    for i, (sh, n_sh_i) in enumerate(zip(vocabs, sizes.tolist())):
-        if len(f_sh):
-            pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
-            df = np.where(f_sh[pos] == sh, f_df[pos], 0)
-        else:
-            df = np.zeros(len(sh), dtype=np.int64)
-        order = np.lexsort((sh, df))  # rarest first, hash tiebreak
-        p = n_sh_i - int(np.ceil(thr * n_sh_i - 1e-9)) + 1
-        out_sh.append(sh[order[:p]])
+    for i, sh in enumerate(vocabs):
+        out_sh.append(rarest_first_prefix(sh, f_sh, f_df, thr))
         out_hi.append(np.full(len(out_sh[-1]), i, dtype=np.int64))
     flat_sh = np.concatenate(out_sh) if out_sh else np.empty(0, np.uint64)
     flat_hi = np.concatenate(out_hi) if out_hi else np.empty(0, np.int64)
@@ -153,38 +149,12 @@ def _similar_pairs_local(
     )
 
 
-@ray.remote
-def _similar_pairs_task(blocks: list, f_sh, f_df, threshold_e6: int) -> pa.Table:
-    # refs nested in a list are NOT auto-resolved by Ray
-    blocks = ray.get([b for b in blocks])
-    if not blocks or all(
-        (b.num_rows if isinstance(b, pa.Table) else len(b)) == 0 for b in blocks
-    ):
-        # empty pages input produces a zero-block (or zero-row) vocab
-        # dataset (its sum("n_sh") is None -> 0, which takes this
-        # fast path); concat_tables([]) would raise and a 0-row block
-        # has no usable schema — short-circuit to the empty result
-        return pa.table(
-            {
-                "host_a": pa.array([], pa.string()),
-                "host_b": pa.array([], pa.string()),
-                "jaccard_e6": pa.array([], pa.int64()),
-            }
-        )
-    tbl = pa.concat_tables(
-        [b if isinstance(b, pa.Table) else pa.Table.from_pandas(b) for b in blocks]
-    )
-    return _similar_pairs_local(tbl, f_sh, f_df, threshold_e6)
-
-
 def similar_hosts(
     pages_ds,
     threshold_e6: int = THRESHOLD_E6,
     url_col: str = "url",
     text_col: str = "text",
     freq_sample_pages: int = 2000,
-    fast_limit: int = 20_000_000,
-    force_distributed: bool = False,
 ):
     """(host_a, host_b, jaccard_e6) for every unordered host pair with
     shingle-set Jaccard >= threshold (integer millionths, host_a <
@@ -192,38 +162,34 @@ def similar_hosts(
 
     Size-adaptive (the triangle_counts/dup_components house shape):
     the vocab table is host-bounded, so when its total shingle count
-    is under ``fast_limit`` (~160 MB of uint64 at the default) the
+    is under ``FAST_LIMIT`` (~160 MB of uint64) the
     whole candidate + verify chain runs in ONE Ray task instead of
     paying 5 wide stages of fixed shuffle overhead — measured 13.6 s
     -> ~4 s at sf0.1/32cpus with identical output (the distributed
     path stays the >limit fallback, pinned equal)."""
-    from .cogroup import default_n_buckets, lookup_join
+    from .cogroup import default_n_buckets, lookup_join, one_task
 
     vocab_ds = _host_vocab(pages_ds, url_col=url_col, text_col=text_col)
 
     # sampled shingle-frequency table for the shared rarest-first
-    # total order (fixed size, broadcast once; any deterministic
-    # shared order keeps the prefix theorem exact)
-    sample_df = (
-        pages_ds.limit(freq_sample_pages).select_columns([text_col]).to_pandas()
-    )
-    # a zero-row dataset loses its schema through to_pandas (bare
-    # RangeIndex columns) — treat it as an empty sample
-    sample_texts = (
-        sample_df[text_col]
-        if text_col in sample_df.columns
-        else pd.Series([], dtype=object)
-    )
-    all_sh, _ = _shingle_sets_batch(sample_texts.tolist())
-    f_sh, f_df = np.unique(all_sh, return_counts=True)
-    keep_f = f_df >= 2
-    f_sh, f_df = f_sh[keep_f], f_df[keep_f]
+    # total order (fixed size, carried in the callables)
+    f_sh, f_df = sampled_shingle_df(pages_ds, text_col, freq_sample_pages)
 
-    if not force_distributed and int(vocab_ds.sum("n_sh") or 0) <= fast_limit:
-        out = ray.get(
-            _similar_pairs_task.remote(
-                vocab_ds.to_arrow_refs(), f_sh, f_df, threshold_e6
-            )
+    _empty = pa.table(
+        {
+            "host_a": pa.array([], pa.string()),
+            "host_b": pa.array([], pa.string()),
+            "jaccard_e6": pa.array([], pa.int64()),
+        }
+    )
+
+    if int(vocab_ds.sum("n_sh") or 0) <= FAST_LIMIT:
+        # empty pages input gives a vocab table with no rows (its
+        # sum("n_sh") is None -> 0, which takes this path)
+        out = one_task(
+            lambda t: _empty if t is None
+            else _similar_pairs_local(t, f_sh, f_df, threshold_e6),
+            vocab_ds,
         )
         return ray.data.from_arrow(out)
 
@@ -238,15 +204,7 @@ def similar_hosts(
         out_h: list = []
         out_n: list = []
         for h, v, n_sh_i in zip(hosts, vocabs, sizes.tolist()):
-            sh = np.frombuffer(v, dtype=np.uint64)
-            if len(f_sh):
-                pos = np.minimum(np.searchsorted(f_sh, sh), len(f_sh) - 1)
-                df = np.where(f_sh[pos] == sh, f_df[pos], 0)
-            else:
-                df = np.zeros(len(sh), dtype=np.int64)
-            order = np.lexsort((sh, df))  # rarest first, hash tiebreak
-            p = n_sh_i - int(np.ceil(thr * n_sh_i - 1e-9)) + 1
-            pref = sh[order[:p]]
+            pref = rarest_first_prefix(np.frombuffer(v, dtype=np.uint64), f_sh, f_df, thr)
             out_sh.append(pref)
             out_h.extend([h] * len(pref))
             out_n.append(np.full(len(pref), n_sh_i, dtype=np.int64))
@@ -292,14 +250,6 @@ def similar_hosts(
 
     def uniq(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["host_a", "host_b"])[["host_a", "host_b"]]
-
-    _empty = pa.table(
-        {
-            "host_a": pa.array([], pa.string()),
-            "host_b": pa.array([], pa.string()),
-            "jaccard_e6": pa.array([], pa.int64()),
-        }
-    )
 
     # candidate table is pair-bounded; materialize once (it feeds two
     # lookup_joins) and short-circuit the no-candidate case, whose

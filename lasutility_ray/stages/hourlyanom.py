@@ -109,7 +109,10 @@ def ab_chisq(events_ds, success_type: str = "purchase"):
 
     Shape: per-batch 4-cell partials -> one 4-row groupby -> a single
     driver row. Nothing is corpus-proportional after the scan."""
+    import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from .cogroup import one_task
 
     def partial(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy()
@@ -150,12 +153,13 @@ def ab_chisq(events_ds, success_type: str = "purchase"):
             }
         )
 
-    return (
+    counts = (
         events_ds.map_batches(partial, batch_format="pyarrow")
         .groupby("cell")
         .aggregate(Sum("n", alias_name="sum(n)"))
-        .repartition(1)
-        .map_batches(finish, batch_format="pyarrow", batch_size=None)
+    )
+    return rd.from_arrow(
+        one_task(lambda t: pa.table({}) if t is None else finish(t), counts)
     )
 
 

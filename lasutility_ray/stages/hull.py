@@ -62,6 +62,8 @@ def convex_hull_edges(docs_ds):
     integer mm."""
     import ray.data as rd
 
+    from .cogroup import one_task
+
     def local_hull(t: pa.Table) -> pa.Table:
         d = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         px, py = point_mm(d)
@@ -86,10 +88,11 @@ def convex_hull_edges(docs_ds):
             }
         )
 
-    return (
-        docs_ds.map_batches(local_hull, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(final, batch_format="pandas", batch_size=None)
+    return rd.from_pandas(
+        one_task(
+            lambda t: pd.DataFrame() if t is None else final(t.to_pandas()),
+            docs_ds.map_batches(local_hull, batch_format="pyarrow"),
+        )
     )
 
 

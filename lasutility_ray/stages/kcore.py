@@ -17,9 +17,9 @@ volume O(surviving edges); the driver sees one scalar per round
 (survivor count, for the stability early-exit — legal because a
 stable round is the identity for every later round). Block-count
 hygiene per the repo's BLOCK-GROWTH rule: each round repartitions
-back to the bucket count. Local fast path below
-``FAST_PATH_MAX_EDGES`` mirrors stages/graph.py; ``force_distributed``
-pins both paths identical in tests.
+back to the bucket count. Local fast path below graph.py's
+``FAST_PATH_MAX_EDGES``, pinned identical to the distributed path in
+tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .graph import FAST_PATH_MAX_EDGES, N_HOST_SITES
+from . import graph
+from .graph import N_HOST_SITES
 
 K_CORE = 3
 ROUNDS = 12
@@ -102,19 +103,19 @@ def _kcore_local(edges: pd.DataFrame, k: int, rounds: int) -> pd.DataFrame:
     return pd.DataFrame({"host_id": hosts, "deg": deg[hosts].astype(np.int64)})
 
 
-def kcore_hosts(
-    docs_ds, k: int = K_CORE, rounds: int = ROUNDS, force_distributed: bool = False
-):
+def kcore_hosts(docs_ds, k: int = K_CORE, rounds: int = ROUNDS):
     """documents -> (host_id, deg) for hosts surviving ``rounds`` peel
     rounds at threshold ``k``, with their surviving degree."""
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    from .cogroup import default_n_buckets, lookup_join
+    from .cogroup import default_n_buckets, lookup_join, one_task
 
     edges = kcore_edges(docs_ds).materialize()
-    if not force_distributed and edges.count() <= FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(_kcore_local(edges.to_pandas(), k, rounds))
+    if edges.count() <= graph.FAST_PATH_MAX_EDGES:
+        return rd.from_pandas(
+            one_task(lambda t: _kcore_local(t.to_pandas(), k, rounds), edges)
+        )
 
     n_buckets = max(4, min(default_n_buckets(), edges.count() // 200_000 + 1))
 

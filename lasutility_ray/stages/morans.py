@@ -35,8 +35,10 @@ SHIFT = 10_000_000  # positivity shift for the final floor division
 
 def morans_i(docs_ds):
     """documents -> one row (n_cells, w_pairs, num, den, i_e6)."""
+    import ray.data as rd
     from ray.data.aggregate import Max
 
+    from .cogroup import one_task
     from .snap import point_mm
 
     def cells(t: pa.Table) -> pa.Table:
@@ -56,8 +58,8 @@ def morans_i(docs_ds):
         .groupby(["ci", "cj"])
         .aggregate(Max("z_cm", alias_name="z_cm"))
     )
-    return cell_max.repartition(1).map_batches(
-        morans_frame, batch_format="pandas", batch_size=None
+    return rd.from_pandas(
+        one_task(lambda t: pd.DataFrame() if t is None else morans_frame(t.to_pandas()), cell_max)
     )
 
 

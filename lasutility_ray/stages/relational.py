@@ -23,6 +23,12 @@ import pyarrow.compute as pc
 
 import ray
 
+from .cogroup import one_task
+
+# qualifying-order rows (~500 MB of 3-col rows) under which TPC-H Q3
+# and Q5 broadcast the orders side instead of a bucketed lookup_join
+BROADCAST_LIMIT = 20_000_000
+
 
 def hash_join(
     left_ds,
@@ -215,7 +221,6 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
     from ray.data.aggregate import Sum
 
     om = orders.materialize()  # slim qualifying orders, pinned once
-    broadcast_limit = 20_000_000  # ~500 MB of 3-col rows
 
     def rev_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -232,7 +237,7 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
             }
         )
 
-    if om.count() <= broadcast_limit:
+    if om.count() <= BROADCAST_LIMIT:
         otab = pa.concat_tables(ray.get(om.to_arrow_refs())).combine_chunks()
         okeys = otab.column("o_orderkey")
 
@@ -242,15 +247,8 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
             )
             return rev_partial(t)
 
-        @ray.remote
-        def finish(blocks: list, ot: pa.Table, k_: int) -> pa.Table:
-            blocks = ray.get([b for b in blocks])
-            tabs = [
-                b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
-                for b in blocks
-                if (b.num_rows if isinstance(b, pa.Table) else len(b))
-            ]
-            if not tabs:
+        def finish(parts: pa.Table | None, ot: pa.Table, k_: int) -> pa.Table:
+            if parts is None:
                 return pa.table(
                     {
                         "l_orderkey": pa.array([], pa.int64()),
@@ -260,7 +258,7 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
                         "rank": pa.array([], pa.int64()),
                     }
                 )
-            all_p = pa.concat_tables(tabs).to_pandas()
+            all_p = parts.to_pandas()
             s = (
                 all_p.groupby("l_orderkey", sort=False)["rev_cents"]
                 .sum()
@@ -295,8 +293,7 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
             return pa.Table.from_pandas(out, preserve_index=False)
 
         partials = li.map_batches(semi_partial, batch_format="pyarrow")
-        result = ray.get(finish.remote(partials.to_arrow_refs(), otab, k))
-        return rd.from_arrow(result)
+        return rd.from_arrow(one_task(finish, partials, otab, k))
 
     per_order_rev = (
         li.map_batches(rev_partial, batch_format="pyarrow")
@@ -658,21 +655,13 @@ def tpch_q5(sf_dir: str, region: str = "ASIA"):
     # callable carries): the bucketed lookup_join cost 13.4 s at the
     # 10x corpus vs ~2 s map-only (round-5 measurement). Above the
     # gate the bucketed join remains the 100 TB shape.
-    broadcast_limit = 20_000_000
-    if order_nation.count() <= broadcast_limit:
-        blocks = ray.get(order_nation.to_arrow_refs())
-        ontab = pa.concat_tables(
-            [
-                b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
-                for b in blocks
-                if (b.num_rows if isinstance(b, pa.Table) else len(b))
-            ]
-        ).combine_chunks()
-        order_sorted = ontab.take(
-            pc.sort_indices(ontab, sort_keys=[("o_orderkey", "ascending")])
-        )
-        ok = order_sorted.column("o_orderkey").to_numpy()
-        onat = order_sorted.column("c_nationkey").to_numpy()
+    if order_nation.count() <= BROADCAST_LIMIT:
+
+        def sorted_keys(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+            t = t.take(pc.sort_indices(t, sort_keys=[("o_orderkey", "ascending")]))
+            return t.column("o_orderkey").to_numpy(), t.column("c_nationkey").to_numpy()
+
+        ok, onat = one_task(sorted_keys, order_nation)
 
         def attach_nation(t: pa.Table) -> pa.Table:
             lk = t.column("l_orderkey").to_numpy()

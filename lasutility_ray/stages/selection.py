@@ -72,11 +72,14 @@ def budget_select(docs_ds, budget: int | None = None,
 
     Size-adaptive (the dedup-family pattern): the boundary score's
     row count is known from the histogram, so below ``fast_max`` rows
-    the boundary prefix runs as ONE task (sort + cumsum on a single
-    repartitioned block — 3 int64 columns, a few MB) instead of the
+    the boundary prefix runs as ONE task (sort + cumsum on the
+    gathered boundary rows — 3 int64 columns, a few MB) instead of the
     five-stage two-level distributed prefix sum; both paths are
     pinned identical in tests."""
+    import ray.data as rd
     from ray.data.aggregate import Count, Sum
+
+    from .cogroup import one_task
 
     slim = docs_ds.map_batches(_slim, batch_format="pyarrow").materialize()
 
@@ -127,13 +130,14 @@ def budget_select(docs_ds, budget: int | None = None,
                 }
             )
 
-        flagged_fast = (
-            slim.map_batches(
-                lambda t: t.filter(pc.equal(t.column("score"), b_score)),
-                batch_format="pyarrow",
+        flagged_fast = rd.from_pandas(
+            one_task(
+                lambda t: flag_one(t.to_pandas()),
+                slim.map_batches(
+                    lambda t: t.filter(pc.equal(t.column("score"), b_score)),
+                    batch_format="pyarrow",
+                ),
             )
-            .repartition(1)
-            .map_batches(flag_one, batch_format="pandas", batch_size=None)
         )
         return plain.union(flagged_fast)
 

@@ -69,7 +69,10 @@ def key_skew_profile(ds, key_expr):
     """Profile the per-key row-count distribution of ``key_expr``
     (a batch -> int64 numpy function) over ``ds``. Returns a one-row
     Dataset of skew statistics."""
+    import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from .cogroup import one_task
 
     def partial(t: pa.Table) -> pa.Table:
         k = key_expr(t)
@@ -91,8 +94,8 @@ def key_skew_profile(ds, key_expr):
         return _stats_from_counts(df["c"].to_numpy(np.int64))
 
     # the counts table is key-space-bounded; reduce it in one task
-    return counts.repartition(1).map_batches(
-        finish, batch_format="pandas", batch_size=None
+    return rd.from_pandas(
+        one_task(lambda t: pd.DataFrame() if t is None else finish(t.to_pandas()), counts)
     )
 
 
@@ -158,7 +161,10 @@ def distribution_drift(docs_ds, cat_col: str = "lang",
 
     Shape: per-batch (category, side) count partials -> one tiny
     fused-key groupby (categories x 2) -> a single driver row."""
+    import ray.data as rd
     from ray.data.aggregate import Sum
+
+    from .cogroup import one_task
 
     def partial(t: pa.Table) -> pa.Table:
         side = (t.column(split_col).to_numpy() % 2).astype(np.int64)
@@ -197,12 +203,13 @@ def distribution_drift(docs_ds, cat_col: str = "lang",
             }
         )
 
-    return (
+    counts = (
         docs_ds.map_batches(partial, batch_format="pyarrow")
         .groupby("key")
         .aggregate(Sum("n", alias_name="sum(n)"))
-        .repartition(1)
-        .map_batches(finish, batch_format="pyarrow", batch_size=None)
+    )
+    return rd.from_arrow(
+        one_task(lambda t: pa.table({}) if t is None else finish(t), counts)
     )
 
 

@@ -35,7 +35,10 @@ BUCKET_DOCS = 64
 def vocab_growth(docs_ds, bucket_docs: int = BUCKET_DOCS):
     """documents -> (bucket, n_new_tokens, cum_vocab) ordered by
     bucket; bucket = first_doc_id // bucket_docs of each 3-shingle."""
+    import ray.data as rd
     from ray.data.aggregate import Count, Min
+
+    from .cogroup import one_task
 
     pat = re.compile(TOKEN_RE)
 
@@ -82,8 +85,8 @@ def vocab_growth(docs_ds, bucket_docs: int = BUCKET_DOCS):
         df["cum_vocab"] = df["n_new_tokens"].cumsum().astype(np.int64)
         return df
 
-    return counts.repartition(1).map_batches(
-        cum, batch_format="pandas", batch_size=None
+    return rd.from_pandas(
+        one_task(lambda t: pd.DataFrame() if t is None else cum(t.to_pandas()), counts)
     )
 
 

@@ -128,10 +128,17 @@ def _cells_ds(docs_ds):
 
 def watershed_labels(docs_ds, distributed: bool = False):
     """documents -> (ci, cj, bci, bcj, basin_n) per occupied cell."""
+    import ray.data as rd
+
+    from .cogroup import one_task
+
     cell_max = _cells_ds(docs_ds)
     if not distributed:
-        return cell_max.repartition(1).map_batches(
-            _label_frame, batch_format="pandas", batch_size=None
+        return rd.from_pandas(
+            one_task(
+                lambda t: pd.DataFrame() if t is None else _label_frame(t.to_pandas()),
+                cell_max,
+            )
         )
     return _watershed_distributed(cell_max)
 
@@ -139,7 +146,9 @@ def watershed_labels(docs_ds, distributed: bool = False):
 def _watershed_distributed(cell_max):
     """Pointer doubling as ceil(log2(n)) bucketed joins over
     (cell, tgt) int64-key rows — the unbounded-cell-space shape."""
-    from .cogroup import default_n_buckets, lookup_join
+    import ray.data as rd
+
+    from .cogroup import default_n_buckets, lookup_join, one_task
 
     nb = default_n_buckets()
 
@@ -159,8 +168,7 @@ def _watershed_distributed(cell_max):
     # build edges in one task, then run the DOUBLING distributed (the
     # doubling is the corpus-scale part: rounds of equi-joins)
     succ = (
-        cell_max.repartition(1)
-        .map_batches(edges, batch_format="pyarrow", batch_size=None)
+        rd.from_arrow(one_task(edges, cell_max))
         .repartition(max(nb // 4, 1))
         .materialize()
     )

@@ -9,6 +9,7 @@ import pytest
 
 import ray.data as rd
 
+from lasutility_ray.stages import dedup
 from lasutility_ray.stages.dedup import (
     _verify_pairs_jaccard,
     duplicate_components,
@@ -33,7 +34,7 @@ def _pages(n=120, dup_every=6):
     )
 
 
-def test_verify_fallback_matches_small_path(ray_session):
+def test_verify_fallback_matches_small_path(ray_session, monkeypatch):
     ds = _pages()
     cands = minhash_candidate_pairs(ds, "doc_id", "text", distinct=True).materialize()
 
@@ -43,9 +44,10 @@ def test_verify_fallback_matches_small_path(ray_session):
         .sort_values(["a", "b"])
         .reset_index(drop=True)
     )
-    # small_limit=0 forces the co-grouped lookup_join path
+    # a zero limit forces the co-grouped lookup_join path
+    monkeypatch.setattr(dedup, "VERIFY_SMALL_LIMIT", 0)
     big = (
-        _verify_pairs_jaccard(cands, ds, "doc_id", "text", 0.8, small_limit=0)
+        _verify_pairs_jaccard(cands, ds, "doc_id", "text", 0.8)
         .to_pandas()
         .sort_values(["a", "b"])
         .reset_index(drop=True)
@@ -55,7 +57,7 @@ def test_verify_fallback_matches_small_path(ray_session):
     np.testing.assert_allclose(small["jaccard"], big["jaccard"])
 
 
-def test_components_fallback_matches_local_path(ray_session):
+def test_components_fallback_matches_local_path(ray_session, monkeypatch):
     # components: chain {1..4}, edge {10,11}, star {20,21,22}
     pairs = rd.from_arrow(
         pa.table(
@@ -70,8 +72,9 @@ def test_components_fallback_matches_local_path(ray_session):
     local = duplicate_components(pairs).to_pandas()
     assert dict(zip(local["node"], local["component"])) == want
 
-    # local_edge_limit=0 forces the distributed label-propagation loop
-    dist = duplicate_components(pairs, local_edge_limit=0).to_pandas()
+    # a zero limit forces the distributed label-propagation loop
+    monkeypatch.setattr(dedup, "LOCAL_CC_EDGE_LIMIT", 0)
+    dist = duplicate_components(pairs).to_pandas()
     assert dict(zip(dist["node"], dist["component"])) == want
 
 

@@ -41,7 +41,7 @@ def test_fast_path_matches_oracle(ray_session):
     pd.testing.assert_frame_equal(got, _oracle())
 
 
-def test_distributed_path_bit_identical(ray_session):
+def test_distributed_path_bit_identical(ray_session, monkeypatch):
     """The forced-distributed path (lookup_join + union/groupby per
     round) must equal the local reference loop exactly — integer
     arithmetic makes the result partitioning-independent."""
@@ -51,8 +51,9 @@ def test_distributed_path_bit_identical(ray_session):
         .sort_values("host_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(G, "FAST_PATH_MAX_EDGES", 0)
     dist = (
-        G.pagerank_hosts(_docs(), force_distributed=True)
+        G.pagerank_hosts(_docs())
         .to_pandas()
         .sort_values("host_id")
         .reset_index(drop=True)

@@ -156,13 +156,14 @@ def test_batch_shingle_kernel_bit_identical():
         )
 
 
-def test_similar_hosts_fast_path_equal(ray_session):
-    """The one-task fast path (vocab table under fast_limit) is
+def test_similar_hosts_fast_path_equal(ray_session, monkeypatch):
+    """The one-task fast path (vocab table under FAST_LIMIT) is
     pinned identical to the forced-distributed bucketed path."""
     import pandas as pd
     import ray.data as rd
 
     from lasutility_ray.corpus.pages import pages_from_documents
+    from lasutility_ray.stages import hostsim
     from lasutility_ray.stages.hostsim import similar_hosts
 
     docs = rd.read_parquet(
@@ -172,7 +173,8 @@ def test_similar_hosts_fast_path_equal(ray_session):
         pages_from_documents, batch_format="pyarrow"
     ).materialize()
     fast = similar_hosts(pages).to_pandas()
-    dist = similar_hosts(pages, force_distributed=True).to_pandas()
+    monkeypatch.setattr(hostsim, "FAST_LIMIT", 0)
+    dist = similar_hosts(pages).to_pandas()
     canon = lambda d: d.sort_values(["host_a", "host_b"]).reset_index(drop=True)
     assert len(fast) == len(dist)
     if len(fast):
@@ -208,17 +210,19 @@ def test_semi_anti_partition_customer_table(ray_session):
     assert no and yes  # threshold splits non-trivially
 
 
-def test_two_hop_fast_path_equal(ray_session):
+def test_two_hop_fast_path_equal(ray_session, monkeypatch):
     """The one-task 2-hop fast path is pinned identical to the
     forced-distributed lookup_join chain."""
     import pandas as pd
     import ray.data as rd
 
+    from lasutility_ray.stages import graph
     from lasutility_ray.stages.graphstats import two_hop_sizes
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
     fast = two_hop_sizes(docs).to_pandas()
-    dist = two_hop_sizes(docs, local_edge_limit=0).to_pandas()
+    monkeypatch.setattr(graph, "FAST_PATH_MAX_EDGES", 0)
+    dist = two_hop_sizes(docs).to_pandas()
     canon = lambda d: d.sort_values("host_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(canon(fast), canon(dist))
     assert len(fast) > 0
@@ -232,6 +236,7 @@ TMP_DIR_QUERIES = [
     ("q_quarantine", "quarantine_"),
     ("q_bloom_index", "bloomidx_"),
     ("q_checkpoint_manifest", "ckpt_query_"),
+    ("q_manifest_counts", "ckpt_counts_"),
 ]
 
 

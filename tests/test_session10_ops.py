@@ -104,12 +104,14 @@ def test_kcore_matches_duckdb(ray_session):
     assert df["deg"].min() >= K_CORE  # converged -> a true k-core
 
 
-def test_kcore_forced_distributed_identical(ray_session):
+def test_kcore_forced_distributed_identical(ray_session, monkeypatch):
+    from lasutility_ray.stages import graph
     from lasutility_ray.stages.kcore import kcore_hosts
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
     fast = _sorted(kcore_hosts(docs).to_pandas())
-    dist = _sorted(kcore_hosts(docs, force_distributed=True).to_pandas())
+    monkeypatch.setattr(graph, "FAST_PATH_MAX_EDGES", 0)
+    dist = _sorted(kcore_hosts(docs).to_pandas())
     pd.testing.assert_frame_equal(fast, dist, check_dtype=False)
 
 
@@ -270,12 +272,14 @@ def test_hits_matches_duckdb(ray_session):
     assert df["hub_e9"].min() >= 0 and df["auth_e9"].min() >= 0
 
 
-def test_hits_forced_distributed_identical(ray_session):
+def test_hits_forced_distributed_identical(ray_session, monkeypatch):
+    from lasutility_ray.stages import graph
     from lasutility_ray.stages.hits import hits_hosts
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
     fast = _sorted(hits_hosts(docs).to_pandas())
-    dist = _sorted(hits_hosts(docs, force_distributed=True).to_pandas())
+    monkeypatch.setattr(graph, "FAST_PATH_MAX_EDGES", 0)
+    dist = _sorted(hits_hosts(docs).to_pandas())
     pd.testing.assert_frame_equal(fast, dist, check_dtype=False)
 
 
@@ -422,36 +426,15 @@ def test_containment_finds_asymmetric_pair(ray_session):
     assert (3, 2) not in rows and (2, 1) not in rows
 
 
-def test_containment_forced_distributed_verify(ray_session):
-    from lasutility_ray.stages.dedup import (
-        _dedup_pairs,
-        _verify_pairs_containment,
-        containment_pairs,
-    )
+def test_containment_forced_distributed_verify(ray_session, monkeypatch):
+    from lasutility_ray.stages import dedup
+    from lasutility_ray.stages.dedup import containment_pairs
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
     fast = _sorted(containment_pairs(docs).to_pandas())
-
     # force the co-grouped fallback by dropping the small limit
-    import lasutility_ray.stages.dedup as dd
-
-    def forced(ds):
-        # re-run candidate generation, then verify with small_limit=0
-        import __ray_entry__ as entry  # noqa: F401  (import parity)
-
-        cands_holder = {}
-        orig = dd._verify_pairs_containment
-
-        def capture(cands, ds2, id_col, text_col, thr, small_limit=dd.VERIFY_SMALL_LIMIT):
-            return orig(cands, ds2, id_col, text_col, thr, small_limit=0)
-
-        dd._verify_pairs_containment = capture
-        try:
-            return dd.containment_pairs(ds)
-        finally:
-            dd._verify_pairs_containment = orig
-
-    dist = _sorted(forced(docs).to_pandas())
+    monkeypatch.setattr(dedup, "VERIFY_SMALL_LIMIT", 0)
+    dist = _sorted(containment_pairs(docs).to_pandas())
     pd.testing.assert_frame_equal(fast, dist, check_dtype=False)
 
 

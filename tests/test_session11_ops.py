@@ -482,7 +482,8 @@ def test_profile_table_nulls_and_constants(ray_session):
 # ---------------------------------------------- triangle fast path
 
 
-def test_triangle_local_path_equals_distributed(ray_session):
+def test_triangle_local_path_equals_distributed(ray_session, monkeypatch):
+    from lasutility_ray.stages import graph
     from lasutility_ray.stages.graph import (
         triangle_counts_from_edges,
         undirected_host_edges,
@@ -496,8 +497,9 @@ def test_triangle_local_path_equals_distributed(ray_session):
         .sort_values("host")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(graph, "LOCAL_TRI_EDGE_LIMIT", 0)  # force
     dist = (
-        triangle_counts_from_edges(edges, local_edge_limit=0)  # force
+        triangle_counts_from_edges(edges)
         .to_pandas()
         .sort_values("host")
         .reset_index(drop=True)
@@ -712,7 +714,8 @@ def test_mst_forest_invariants(ray_session):
             assert find(u) == find(v)
 
 
-def test_mst_boruvka_equals_kruskal(ray_session):
+def test_mst_boruvka_equals_kruskal(ray_session, monkeypatch):
+    from lasutility_ray.stages import graphstats
     from lasutility_ray.stages.graphstats import mst_forest
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
@@ -722,8 +725,9 @@ def test_mst_boruvka_equals_kruskal(ray_session):
         .sort_values(["u", "v"])
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(graphstats, "MST_LOCAL_EDGE_LIMIT", 0)
     dist = (
-        mst_forest(docs, distributed=True)
+        mst_forest(docs)
         .to_pandas()
         .sort_values(["u", "v"])
         .reset_index(drop=True)

@@ -44,14 +44,16 @@ def test_bfs_hops_matches_duckdb(ray_session):
     assert (df["hops"] == 0).sum() >= 1
 
 
-def test_bfs_distributed_path_identical_to_local(ray_session):
+def test_bfs_distributed_path_identical_to_local(ray_session, monkeypatch):
+    from lasutility_ray.stages import graph
     from lasutility_ray.stages.graph import bfs_hops
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"]).limit(
         4000
     )
     a = bfs_hops(docs).to_pandas()
-    b = bfs_hops(docs, force_distributed=True).to_pandas()
+    monkeypatch.setattr(graph, "FAST_PATH_MAX_EDGES", 0)
+    b = bfs_hops(docs).to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b), check_dtype=False)
 
 
@@ -303,14 +305,16 @@ def test_sssp_matches_duckdb(ray_session):
     assert (df["dist"] == 0).sum() >= 1
 
 
-def test_sssp_forced_distributed_identical_to_local(ray_session):
+def test_sssp_forced_distributed_identical_to_local(ray_session, monkeypatch):
+    from lasutility_ray.stages import graph
     from lasutility_ray.stages.graph import sssp_hosts
 
     docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"]).limit(
         4000
     )
     a = sssp_hosts(docs).to_pandas()
-    b = sssp_hosts(docs, force_distributed=True).to_pandas()
+    monkeypatch.setattr(graph, "FAST_PATH_MAX_EDGES", 0)
+    b = sssp_hosts(docs).to_pandas()
     pd.testing.assert_frame_equal(_sorted(a), _sorted(b), check_dtype=False)
 
 

@@ -6,6 +6,12 @@
   to ``map_batches`` or ``map_groups``: a driver-built value travels
   inside the callable, converted once on the driver, instead of being
   re-read from the object store on every batch.
+- A third AST guard fails on any ``ray.remote`` in the engine outside
+  ``cogroup.one_task`` and on any ``.repartition(1)``: a bounded result
+  finishes in one place, through ``one_task``.
+- Each one-task size gate of TPC-H Q3/Q5, collocations and the quality
+  classifier, forced to its distributed path, gives the default
+  path's result.
 - A 1-CPU session runs the PIP join, the token stats and a zero-pending
   TIN resume, and gets its CPU back right after: fixed or autoscaling
   actor pools deadlocked such a session, starved it, or held its CPU
@@ -215,6 +221,147 @@ def test_no_ray_get_in_batch_functions():
         "in the callable instead):\n"
         + "\n".join(f"  {f}:{line} via {fn}" for f, fn, line in sites)
     )
+
+
+# (file relative to the repo, enclosing function) of every ray.remote
+# allowed besides cogroup.one_task, the engine's bounded-finish task.
+# None are.
+RAY_REMOTE_ALLOWED: set[tuple[str, str]] = set()
+ONE_TASK = ("lasutility_ray/stages/cogroup.py", "one_task")
+
+
+def _bounded_finish_sites() -> list[tuple[str, str, int, str]]:
+    """ray.remote decorators, calls and imports outside
+    cogroup.one_task, and .repartition(1) calls, in the engine."""
+    sites = []
+    for path in _scanned_files():
+        rel = os.path.relpath(path, REPO)
+        if not rel.startswith("lasutility_ray"):
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        parents = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+
+        def scopes(node):
+            p = parents.get(node)
+            while p is not None:
+                if isinstance(p, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield p.name
+                p = parents.get(p)
+
+        for node in ast.walk(tree):
+            what = None
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "remote"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("ray", "_ray")
+            ):
+                what = "ray.remote"
+            elif isinstance(node, ast.ImportFrom) and node.module == "ray":
+                if any(a.name == "remote" for a in node.names):
+                    what = "from ray import remote"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "repartition"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == 1
+            ):
+                what = "repartition(1)"
+            if what is None:
+                continue
+            chain = list(scopes(node))
+            if what != "repartition(1)" and (
+                (rel == ONE_TASK[0] and ONE_TASK[1] in chain)
+                or any((rel, fn) in RAY_REMOTE_ALLOWED for fn in chain)
+            ):
+                continue
+            sites.append((rel, chain[0] if chain else "<module>", node.lineno, what))
+    return sites
+
+
+def test_bounded_finishes_go_through_one_task():
+    sites = _bounded_finish_sites()
+    assert sites == [], (
+        "bounded finishes outside cogroup.one_task:\n"
+        + "\n".join(f"  {f}:{line} in {fn}(): {what}" for f, fn, line, what in sites)
+    )
+
+
+def test_one_task_gathers_datasets(ray_session):
+    """Dataset arguments arrive as one table (pandas and empty blocks
+    included), an empty Dataset as None, other arguments unchanged."""
+    import ray.data as rd
+
+    from lasutility_ray.stages.cogroup import one_task
+
+    arrow = rd.from_arrow([pa.table({"x": [1, 2]}), pa.table({"x": pa.array([], pa.int64())})])
+    mixed = arrow.union(rd.from_pandas(pd.DataFrame({"x": [3]})))
+    empty = rd.from_arrow(pa.table({"x": pa.array([], pa.int64())}))
+
+    def fn(t, e, k):
+        return sorted(t.column("x").to_pylist()), e, k
+
+    assert one_task(fn, mixed, empty, {"k": 1}) == ([1, 2, 3], None, {"k": 1})
+
+
+def _oracle(name: str) -> pd.DataFrame:
+    import __ray_entry__ as e
+
+    con = duckdb.connect()
+    for t in ("region", "nation", "customer", "supplier", "orders", "lineitem", "documents"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
+    return con.execute(e.oracle_sql()[name]).df()
+
+
+def _train_quality():
+    import ray.data as rd
+
+    from lasutility_ray.stages.classifier import featurize_documents, train_quality_logreg
+
+    docs = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    return train_quality_logreg(featurize_documents(docs), iters=5)
+
+
+def _query(name):
+    def run():
+        import __ray_entry__ as e
+
+        return e.queries()[name](SF).to_pandas()
+
+    return run
+
+
+# (module holding the gate, gate constant, run, oracle query or None)
+GATES = {
+    "tpch_q3": ("relational", "BROADCAST_LIMIT", _query("q_tpch_q3"), "q_tpch_q3"),
+    "tpch_q5": ("relational", "BROADCAST_LIMIT", _query("q_tpch_q5"), "q_tpch_q5"),
+    "collocations": ("collocations", "ONETASK_LIMIT", _query("q_collocations"), "q_collocations"),
+    "train_quality": ("classifier", "ONETASK_LIMIT", _train_quality, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATES))
+def test_forced_gate_equals_default(ray_session, monkeypatch, case):
+    import importlib
+
+    def canon(df):
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
+
+    module, const, run, oracle = GATES[case]
+    default = run()
+    monkeypatch.setattr(importlib.import_module(f"lasutility_ray.stages.{module}"), const, 0)
+    forced = run()
+    if oracle is None:
+        # weights (micro units), bias and per-iteration loss history
+        assert forced == default
+        return
+    assert len(default) > 0
+    pd.testing.assert_frame_equal(canon(forced), canon(default))
+    pd.testing.assert_frame_equal(canon(default), canon(_oracle(oracle)), check_dtype=False)
 
 
 _ONE_CPU_CHILD = r"""
