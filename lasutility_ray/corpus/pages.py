@@ -12,13 +12,22 @@ text of ``doc_id - 1`` under a different url, giving exact-dedup
 fixtures at every scale.
 
 All derivations are DuckDB-mirrorable (``printf``, string concat,
-``epoch_ms``); see ``sql_exprs``.
+``epoch_ms``); see ``url_sql`` and ``warc_ts_sql``.
+
+Every function here is a column kernel over a whole batch: numpy for
+the hash arithmetic and the ``%08x`` digits, Arrow compute for the
+strings (``take`` of the word list, ``binary_join`` per row,
+``binary_join_element_wise`` for the url, the near-dup tail and the
+html wrap, one ``utf8_slice_codeunits`` for the extractor). There is
+no per-row Python path; ``tests/test_pages_kernels.py`` keeps the
+per-row formulation as the oracle these kernels are byte-identical to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .geocode import hashes
 
@@ -31,19 +40,36 @@ HTML_PREFIX = (
 )
 HTML_SUFFIX = "</p></main><footer>(c) example</footer></body></html>"
 
-_WORDS = (
-    "data ray tile point cloud raster vector join index grid scan "
-    "batch block shuffle stream merge sort hash key value page web "
-    "crawl text token lang doc query plan group agg window"
-).split()
+_WORDS = pa.array(
+    (
+        "data ray tile point cloud raster vector join index grid scan "
+        "batch block shuffle stream merge sort hash key value page web "
+        "crawl text token lang doc query plan group agg window"
+    ).split(),
+    pa.string(),
+)
 
 
-def make_urls(doc_id: np.ndarray) -> np.ndarray:
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_HEX_SHIFTS = np.arange(28, -4, -4, dtype=np.int64)
+_LANGS = pa.array(["fi", "en", "sv", "de"], pa.string())
+
+
+def _hex8(h: np.ndarray) -> pa.Array:
+    """``f"{h:08x}"`` of each 32-bit value as a string array: its eight
+    nibbles, most significant first, looked up in ``0-9a-f``."""
+    digits = _HEX_DIGITS[(np.asarray(h, dtype=np.int64)[:, None] >> _HEX_SHIFTS) & 0xF]
+    offsets = np.arange(0, digits.size + 1, 8, dtype=np.int32)
+    return pa.StringArray.from_buffers(len(digits), pa.py_buffer(offsets), pa.py_buffer(digits))
+
+
+def make_urls(doc_id: np.ndarray) -> pa.Array:
+    """``https://site<doc_id % 1000>.example/<h1:08x>`` per doc."""
+    doc_id = np.asarray(doc_id, dtype=np.int64)
     h1, _ = hashes(doc_id)
-    sites = (doc_id % 1000).astype(np.int64)
-    return np.array(
-        [f"https://site{s}.example/{h:08x}" for s, h in zip(sites.tolist(), h1.tolist())],
-        dtype=object,
+    sites = pc.cast(pa.array(doc_id % 1000), pa.string())
+    return pc.binary_join_element_wise(
+        "https://site", sites, ".example/", _hex8(h1), ""
     )
 
 
@@ -51,28 +77,46 @@ NEAR_DUP_SLOT = 12
 NEAR_DUP_TAIL = " appended near duplicate tail words"
 
 
-def synth_text(doc_id: np.ndarray) -> np.ndarray:
+def synth_text(doc_id: np.ndarray) -> pa.Array:
     """Deterministic word-salad text; length varies by hash.
     Duplicate fixtures at every scale: ``doc_id % 25 == 24`` copies
     the previous row's text verbatim (exact dup, different url);
     ``doc_id % 25 == 12`` copies the previous row's text + a short
-    tail (near dup, Jaccard ~0.9)."""
+    tail (near dup, Jaccard ~0.9).
+
+    Row ``i`` with ``a, c = hashes(base)`` is ``d<a:08x>`` followed by
+    ``20 + a % 80`` words, word ``j`` being
+    ``_WORDS[(j * (1 + c % 7) + a) % len(_WORDS)]``. All rows' word
+    indices are expanded at once into one flat array, taken from
+    ``_WORDS`` and joined per row as a list array."""
     doc_id = np.asarray(doc_id, dtype=np.int64)
     mod = doc_id % DUP_EVERY
     base = np.where((mod == DUP_EVERY - 1) | (mod == NEAR_DUP_SLOT), doc_id - 1, doc_id)
-    h1, h2 = hashes(base)
-    out = np.empty(len(doc_id), dtype=object)
-    for i, (a, c, m) in enumerate(zip(h1.tolist(), h2.tolist(), mod.tolist())):
-        n_words = 20 + (a % 80)
-        idx = (np.arange(n_words) * (1 + c % 7) + a) % len(_WORDS)
-        # leading token d<h1:08x> is unique per base doc (h1 is a
-        # bijection of doc_id), so the only exact/near duplicates are
-        # the injected ones
-        t = f"d{a:08x} " + " ".join(_WORDS[j] for j in idx)
-        if m == NEAR_DUP_SLOT:
-            t += NEAR_DUP_TAIL
-        out[i] = t
-    return out
+    a, c = hashes(base)
+    n_words = (20 + a % 80).astype(np.int32)
+    offsets = np.zeros(len(doc_id) + 1, dtype=np.int32)
+    np.cumsum(n_words, out=offsets[1:])
+    # word j of every row at once: j counts from 0 at each row's offset
+    j = np.arange(offsets[-1], dtype=np.int32) - np.repeat(offsets[:-1], n_words)
+    step = (1 + c % 7).astype(np.int32)
+    start = (a % len(_WORDS)).astype(np.int32)
+    idx = (j * np.repeat(step, n_words) + np.repeat(start, n_words)) % len(_WORDS)
+    words = pa.ListArray.from_arrays(pa.array(offsets), _WORDS.take(idx))
+    # leading token d<a:08x> is unique per base doc (h1 is a bijection
+    # of doc_id), so the only exact/near duplicates are the injected ones
+    tail = pc.if_else(pa.array(mod == NEAR_DUP_SLOT), NEAR_DUP_TAIL, "")
+    return pc.binary_join_element_wise("d", _hex8(a), " ", pc.binary_join(words, " "), tail, "")
+
+
+def _html(text) -> pa.Array:
+    return pc.cast(
+        pc.binary_join_element_wise(HTML_PREFIX, text, HTML_SUFFIX, ""), pa.binary()
+    )
+
+
+def _warc_ts(doc_id: np.ndarray) -> pa.Array:
+    ts = (EPOCH_MS + (doc_id % 86400) * 1000).astype("datetime64[ms]").astype("datetime64[us]")
+    return pa.array(ts, pa.timestamp("us"))
 
 
 def pages_from_documents(batch: pa.Table) -> pa.Table:
@@ -80,16 +124,12 @@ def pages_from_documents(batch: pa.Table) -> pa.Table:
     pages(doc_id, url, warc_ts, html, text, lang). Used both by the
     engine and reproduced by the DuckDB oracle."""
     doc_id = batch.column("doc_id").to_numpy()
-    text = batch.column("text").to_pylist()
-    urls = make_urls(doc_id)
-    ts = (EPOCH_MS + (doc_id % 86400) * 1000).astype("datetime64[ms]").astype("datetime64[us]")
-    html = [(HTML_PREFIX + t + HTML_SUFFIX).encode() for t in text]
     return pa.table(
         {
             "doc_id": pa.array(doc_id, pa.int64()),
-            "url": pa.array(urls, pa.string()),
-            "warc_ts": pa.array(ts, pa.timestamp("us")),
-            "html": pa.array(html, pa.binary()),
+            "url": make_urls(doc_id),
+            "warc_ts": _warc_ts(doc_id),
+            "html": _html(batch.column("text")),
             "text": batch.column("text"),
             "lang": batch.column("lang"),
         }
@@ -100,36 +140,28 @@ def synth_pages_batch(doc_id: np.ndarray) -> pa.Table:
     """Standalone pages batch at arbitrary scale (bench corpus)."""
     doc_id = np.asarray(doc_id, dtype=np.int64)
     text = synth_text(doc_id)
-    urls = make_urls(doc_id)
-    ts = (EPOCH_MS + (doc_id % 86400) * 1000).astype("datetime64[ms]").astype("datetime64[us]")
-    langs = np.array(["fi", "en", "sv", "de"], dtype=object)[doc_id % 4]
-    html = [(HTML_PREFIX + t + HTML_SUFFIX).encode() for t in text.tolist()]
     return pa.table(
         {
             "doc_id": pa.array(doc_id, pa.int64()),
-            "url": pa.array(urls, pa.string()),
-            "warc_ts": pa.array(ts, pa.timestamp("us")),
-            "html": pa.array(html, pa.binary()),
-            "text": pa.array(text, pa.string()),
-            "lang": pa.array(langs, pa.string()),
+            "url": make_urls(doc_id),
+            "warc_ts": _warc_ts(doc_id),
+            "html": _html(text),
+            "text": text,
+            "lang": _LANGS.take(doc_id % 4),
         }
     )
 
 
 def extract_text_from_html(html_col: pa.Array) -> pa.Array:
     """The engine's extractor: recover the payload between the fixed
-    markers. Must be byte-identical to the ``text`` column per url."""
-    import pyarrow.compute as pc
+    markers. Must be byte-identical to the ``text`` column per url.
 
+    The cast to ``string`` is the UTF-8 check of the input: it raises
+    on invalid bytes. One slice then drops the prefix and, by a
+    negative stop counted from the end, the suffix; html shorter than
+    both markers gives an empty string."""
     s = pc.cast(html_col, pa.string())
-    # strip the fixed-length prefix (slice start is scalar-only in
-    # Arrow, so the fixed suffix is stripped via reverse-slice-reverse
-    # — all three kernels are vectorized)
-    big = 2**30
-    trimmed = pc.utf8_slice_codeunits(s, len(HTML_PREFIX), big)
-    rev = pc.utf8_reverse(trimmed)
-    rev_cut = pc.utf8_slice_codeunits(rev, len(HTML_SUFFIX), big)
-    return pc.utf8_reverse(rev_cut)
+    return pc.utf8_slice_codeunits(s, len(HTML_PREFIX), -len(HTML_SUFFIX))
 
 
 def url_sql(doc_col: str = "doc_id") -> str:

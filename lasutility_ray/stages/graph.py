@@ -51,6 +51,30 @@ N_ITERS = 5
 FAST_PATH_MAX_EDGES = 2_000_000
 
 
+def host_schema(*cols: str) -> pa.Schema:
+    """``host_id`` then ``cols``, all int64: the output schema of the
+    per-host graph kernels."""
+    return pa.schema([("host_id", pa.int64())] + [(c, pa.int64()) for c in cols])
+
+
+def local_fast_path(kernel, edges, schema: pa.Schema):
+    """The single-task fast path of a graph kernel: ``kernel`` gets the
+    whole edge table as one DataFrame in one task and returns the
+    result frame. No edges give an empty Dataset of ``schema``, the
+    kernel's output schema, without running it."""
+    import ray.data as rd
+
+    from .cogroup import one_task
+
+    out = one_task(lambda t: None if t is None else kernel(t.to_pandas()), edges)
+    return rd.from_arrow(schema.empty_table()) if out is None else rd.from_pandas(out)
+
+
+PAGERANK_SCHEMA = host_schema("rank_e9")
+BFS_SCHEMA = host_schema("hops")
+SSSP_SCHEMA = host_schema("dist")
+
+
 def edge_targets(doc_id: np.ndarray):
     """Each doc links its host (doc_id % 1000, see pages.make_urls)
     to two hash-derived hosts. Self-links are dropped downstream."""
@@ -113,16 +137,13 @@ def _pagerank_local(edges: pd.DataFrame, n_iters: int) -> pd.DataFrame:
 def pagerank_hosts(docs_ds, n_iters: int = N_ITERS):
     """documents -> (host_id, rank_e9) after ``n_iters`` exact
     fixed-point PageRank rounds over the host link graph."""
-    import ray.data as rd
     from ray.data.aggregate import Count, Sum
 
-    from .cogroup import lookup_join, one_task
+    from .cogroup import lookup_join
 
     edges = host_edges(docs_ds).materialize()
     if edges.count() <= FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(
-            one_task(lambda t: _pagerank_local(t.to_pandas(), n_iters), edges)
-        )
+        return local_fast_path(lambda df: _pagerank_local(df, n_iters), edges, PAGERANK_SCHEMA)
 
     # ---- distributed path: same recurrence, Dataset algebra only
     out_w = edges.groupby("src").aggregate(Sum("w", alias_name="out_w"))
@@ -612,16 +633,13 @@ def bfs_hops(docs_ds, max_hops: int = MAX_HOPS):
     ``FAST_PATH_MAX_EDGES`` edges, pinned identical to the
     distributed path in tests.
     """
-    import ray.data as rd
     from ray.data.aggregate import Count
 
-    from .cogroup import lookup_join, one_task
+    from .cogroup import lookup_join
 
     edges = undirected_host_edges(docs_ds).materialize()
     if edges.count() <= FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(
-            one_task(lambda t: _bfs_local(t.to_pandas(), max_hops), edges)
-        )
+        return local_fast_path(lambda df: _bfs_local(df, max_hops), edges, BFS_SCHEMA)
 
     def both_dirs(t: pa.Table) -> pa.Table:
         u = t.column("u").combine_chunks()
@@ -797,17 +815,14 @@ def sssp_hosts(docs_ds, rounds: int = SSSP_ROUNDS):
     below ``FAST_PATH_MAX_EDGES``, pinned identical to the
     distributed path in tests.
     """
-    import ray.data as rd
     from ray.data.aggregate import Min
 
-    from .cogroup import lookup_join, one_task
+    from .cogroup import lookup_join
 
     assert rounds < 63, "round tag packs into v = d*64 + r"
     edges = host_edges(docs_ds).materialize()
     if edges.count() <= FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(
-            one_task(lambda t: _sssp_local(t.to_pandas(), rounds), edges)
-        )
+        return local_fast_path(lambda df: _sssp_local(df, rounds), edges, SSSP_SCHEMA)
 
     # BLOCK-TYPE HAZARD (pinned by test_sssp_forced_distributed): join
     # outputs are pandas blocks and EMPTY blocks bypass map_batches

@@ -21,11 +21,14 @@ import pyarrow as pa
 from ..corpus.geocode import H1_MUL, M32
 from .graph import (
     N_HOST_SITES,
+    host_schema,
+    local_fast_path,
     triangle_counts_from_edges,
     undirected_host_edges,
 )
 
 SCALE = 1_000_000
+TWO_HOP_SCHEMA = host_schema("n_reach2")
 
 
 def clustering_coefficients(docs_ds):
@@ -179,7 +182,7 @@ def two_hop_sizes(docs_ds):
     graph.py's ``FAST_PATH_MAX_EDGES`` symmetric edges the whole chain
     runs in ONE task — 4 wide stages of fixed shuffle overhead on a
     bounded edge table (pinned equal to the distributed chain)."""
-    from .cogroup import default_n_buckets, lookup_join, one_task
+    from .cogroup import default_n_buckets, lookup_join
     from .graph import FAST_PATH_MAX_EDGES, undirected_host_edges
 
     nb = default_n_buckets()
@@ -200,9 +203,7 @@ def two_hop_sizes(docs_ds):
         .materialize()
     )
     if edges.count() <= FAST_PATH_MAX_EDGES:
-        import ray.data as rd
-
-        return rd.from_pandas(one_task(lambda t: _two_hop_local(t.to_pandas()), edges))
+        return local_fast_path(_two_hop_local, edges, TWO_HOP_SCHEMA)
     hop2 = lookup_join(
         edges, edges, "dst", "src", {"dst": "dst2"}, multi=True
     )

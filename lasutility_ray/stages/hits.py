@@ -35,6 +35,7 @@ from .graph import N_HOST_SITES, host_edges
 
 SCALE = 1_000_000_000
 N_ITERS = 4
+HITS_SCHEMA = graph.host_schema("hub_e9", "auth_e9")
 
 
 def _hits_local(edges: pd.DataFrame, n_iters: int) -> pd.DataFrame:
@@ -66,16 +67,13 @@ def _hits_local(edges: pd.DataFrame, n_iters: int) -> pd.DataFrame:
 def hits_hosts(docs_ds, n_iters: int = N_ITERS):
     """documents -> (host_id, hub_e9, auth_e9) after ``n_iters``
     max-normalized integer HITS rounds over the host link graph."""
-    import ray.data as rd
     from ray.data.aggregate import Count, Max, Sum
 
-    from .cogroup import lookup_join, one_task
+    from .cogroup import lookup_join
 
     edges = host_edges(docs_ds).materialize()
     if edges.count() <= graph.FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(
-            one_task(lambda t: _hits_local(t.to_pandas(), n_iters), edges)
-        )
+        return graph.local_fast_path(lambda df: _hits_local(df, n_iters), edges, HITS_SCHEMA)
 
     hosts = (
         edges.select_columns(["src"])

@@ -33,6 +33,7 @@ from .graph import N_HOST_SITES
 
 K_CORE = 3
 ROUNDS = 12
+KCORE_SCHEMA = graph.host_schema("deg")
 
 
 def kcore_edges(docs_ds):
@@ -109,13 +110,11 @@ def kcore_hosts(docs_ds, k: int = K_CORE, rounds: int = ROUNDS):
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    from .cogroup import default_n_buckets, lookup_join, one_task
+    from .cogroup import default_n_buckets, lookup_join
 
     edges = kcore_edges(docs_ds).materialize()
     if edges.count() <= graph.FAST_PATH_MAX_EDGES:
-        return rd.from_pandas(
-            one_task(lambda t: _kcore_local(t.to_pandas(), k, rounds), edges)
-        )
+        return graph.local_fast_path(lambda df: _kcore_local(df, k, rounds), edges, KCORE_SCHEMA)
 
     n_buckets = max(4, min(default_n_buckets(), edges.count() // 200_000 + 1))
 
@@ -144,14 +143,7 @@ def kcore_hosts(docs_ds, k: int = K_CORE, rounds: int = ROUNDS):
             break  # stable: every later round is the identity
         prev_nodes = n_keep
         if n_keep == 0:
-            return rd.from_pandas(
-                pd.DataFrame(
-                    {
-                        "host_id": pd.Series([], dtype=np.int64),
-                        "deg": pd.Series([], dtype=np.int64),
-                    }
-                )
-            )
+            return rd.from_arrow(KCORE_SCHEMA.empty_table())
         e1 = lookup_join(edges, keep, "u", "node", {}, how="semi")
         # semi lookup_join emits pandas blocks; keep the lineage uniform
         e2 = lookup_join(e1, keep, "v", "node", {}, how="semi")

@@ -1,13 +1,16 @@
 """PageRank over the host graph (stages/graph.py): exact fixed-point
 arithmetic pinned against the unrolled-SQL oracle, the forced
 distributed path pinned bit-identical to the local reference loop,
-and the PageRank axioms (mass conservation, damping floor)."""
+and the PageRank axioms (mass conservation, damping floor). The
+single-task graph kernels return a typed empty result on no edges."""
 
 import duckdb
 import numpy as np
 import pandas as pd
+import pytest
 
 import lasutility_ray.stages.graph as G
+from lasutility_ray.stages import graphstats, hits, kcore
 
 SF = "/root/testdata/sf0.001"
 
@@ -94,3 +97,19 @@ def test_dangling_and_weights_local():
         {"host_id": list(range(4)), "rank_e9": [r[h] for h in range(4)]}
     )
     pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [G.pagerank_hosts, G.bfs_hops, G.sssp_hosts, kcore.kcore_hosts, hits.hits_hosts,
+     graphstats.two_hop_sizes],
+    ids=["pagerank", "bfs", "sssp", "kcore", "hits", "two_hop"],
+)
+def test_fast_path_on_no_edges(ray_session, fn):
+    """No documents -> no edges: an empty Dataset with the schema the
+    same kernel gives on a real graph."""
+    want = fn(_docs()).schema()
+    got = fn(_docs().limit(0))
+    assert got.count() == 0
+    assert got.schema().names == want.names
+    assert got.schema().types == want.types

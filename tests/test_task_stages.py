@@ -17,6 +17,9 @@
   actor pools deadlocked such a session, starved it, or held its CPU
   until a garbage collection.
 - ``broadcast_join`` checks its unique-key precondition.
+- An AST guard fails on any per-row Python path (a loop, a
+  comprehension, a ``.to_pylist()``/``.tolist()``) in the page
+  synthesis and extraction kernels of ``corpus/pages.py``.
 """
 
 import ast
@@ -287,6 +290,52 @@ def test_bounded_finishes_go_through_one_task():
     assert sites == [], (
         "bounded finishes outside cogroup.one_task:\n"
         + "\n".join(f"  {f}:{line} in {fn}(): {what}" for f, fn, line, what in sites)
+    )
+
+
+# the corpus/pages.py functions the flagship, the benchmark and the
+# contract queries call; they and every same-module function they call
+# by name must stay column kernels
+PAGES = "lasutility_ray/corpus/pages.py"
+PAGES_ENTRY = ("synth_text", "make_urls", "synth_pages_batch", "pages_from_documents",
+               "extract_text_from_html")
+
+
+def _per_row_sites(path: str, entry: tuple[str, ...]) -> list[tuple[str, int, str]]:
+    """(function, line, construct) of every for/while loop,
+    comprehension and ``.to_pylist()``/``.tolist()`` call in the
+    functions of ``path`` reachable from ``entry`` by bare-name calls."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    missing = [name for name in entry if name not in defs]
+    assert not missing, f"{path} no longer defines {missing}"
+    todo, seen, sites = list(entry), set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for n in ast.walk(defs[name]):
+            what = None
+            if isinstance(n, (ast.For, ast.AsyncFor, ast.While)):
+                what = type(n).__name__.lower() + " loop"
+            elif isinstance(n, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                what = "comprehension"
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("to_pylist", "tolist"):
+                what = f".{n.func.attr}()"
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in defs:
+                todo.append(n.func.id)
+            if what is not None:
+                sites.append((name, n.lineno, what))
+    return sorted(sites)
+
+
+def test_page_kernels_have_no_per_row_path():
+    sites = _per_row_sites(os.path.join(REPO, PAGES), PAGES_ENTRY)
+    assert sites == [], (
+        f"per-row Python in {PAGES}:\n"
+        + "\n".join(f"  {fn}():{line} {what}" for fn, line, what in sites)
     )
 
 
