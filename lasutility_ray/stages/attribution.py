@@ -31,9 +31,7 @@ def last_touch_attribution(events_ds):
     """events -> (channel, n_conversions, value_cents)."""
     from ray.data.aggregate import Sum
 
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -53,7 +51,6 @@ def last_touch_attribution(events_ds):
                 "__us": pa.array(us),
                 "__cents": pa.array(cents),
                 "event_type": t.column("event_type"),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
             }
         )
 
@@ -91,11 +88,11 @@ def last_touch_attribution(events_ds):
         out["value_cents"] = out["value_cents"].astype(np.int64)
         return out
 
+    slimmed = events_ds.select_columns(
+        ["event_id", "user_id", "ts", "event_type", "value"]
+    ).map_batches(slim, batch_format="pyarrow")
     return (
-        events_ds.select_columns(["event_id", "user_id", "ts", "event_type", "value"])
-        .map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
+        shuffle_by(slimmed, "user_id", per_bucket)
         .groupby("channel")
         .aggregate(
             Sum("n_conversions", alias_name="n_conversions"),

@@ -165,7 +165,7 @@ def audio_neardup_pairs(
 ):
     """(a, b, n_aligned) for clip pairs sharing >= min_matches
     landmark hashes at one consistent relative offset (a < b)."""
-    from .cogroup import default_n_buckets
+    from .cogroup import shuffle_by
     from .dedup import _pair_indices
 
     fp = clips_ds.map_batches(
@@ -194,26 +194,6 @@ def audio_neardup_pairs(
         off = np.where(swap, -off, off)
         return pd.DataFrame({"a": a2, "b": b2, "off": off})
 
-    nb = default_n_buckets()
-
-    def tag_fp(t: pa.Table) -> pa.Table:
-        h = t.column("fp").to_numpy().astype(np.uint64) * np.uint64(
-            0x9E3779B97F4A7C15
-        )
-        return t.append_column(
-            "__fpb",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
-
-    def tag(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy().astype(np.uint64)
-        b = t.column("b").to_numpy().astype(np.uint64)
-        h = a * np.uint64(0x9E3779B97F4A7C15) ^ b * np.uint64(0xC2B2AE3D27D4EB4F)
-        return t.append_column(
-            "__bucket",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
-
     def vote(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (
             g.groupby(["a", "b", "off"], sort=False)
@@ -228,11 +208,4 @@ def audio_neardup_pairs(
             {"a": np.int64, "b": np.int64, "n_aligned": np.int64}
         )
 
-    return (
-        fp.map_batches(tag_fp, batch_format="pyarrow")
-        .groupby("__fpb")
-        .map_groups(hash_pairs, batch_format="pandas")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(vote, batch_format="pandas")
-    )
+    return shuffle_by(shuffle_by(fp, "fp", hash_pairs), ["a", "b"], vote)

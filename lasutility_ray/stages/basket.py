@@ -40,9 +40,7 @@ def basket_rules(events_ds):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -56,16 +54,11 @@ def basket_rules(events_ds):
         et = t.column("event_type").to_numpy(zero_copy_only=False)
         df = pd.DataFrame({"user_id": uid, "day": day, "item": et})
         df = df.drop_duplicates()
-        b = _bucket_of(
-            df["user_id"].to_numpy(np.int64) * 8191 + df["day"].to_numpy(np.int64),
-            n_buckets,
-        )
         return pa.table(
             {
                 "user_id": pa.array(df["user_id"].to_numpy(np.int64)),
                 "day": pa.array(df["day"].to_numpy(np.int64)),
                 "item": pa.array(df["item"].astype(str)),
-                "__b": pa.array(b, pa.int64()),
             }
         )
 
@@ -129,10 +122,9 @@ def basket_rules(events_ds):
         )
         return out
 
+    baskets = events_ds.map_batches(slim, batch_format="pyarrow")
     tallies = (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
+        shuffle_by(baskets, ["user_id", "day"], per_bucket)
         .groupby(["item_a", "item_b"])
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()  # vocab-bounded: |vocab|^2/2 + |vocab| + 1 rows

@@ -34,9 +34,7 @@ K_SHIFT = 1 << 20  # positivity shift for the floor-division mean
 def cusum_changepoints(events_ds, thresh: int = THRESH):
     """events -> (user_id, event_id, cusum_cents, flagged) — one row
     per event."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -55,7 +53,6 @@ def cusum_changepoints(events_ds, thresh: int = THRESH):
                 "event_id": t.column("event_id"),
                 "__us": pa.array(us),
                 "__cents": pa.array(cents),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
             }
         )
 
@@ -94,11 +91,7 @@ def cusum_changepoints(events_ds, thresh: int = THRESH):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return shuffle_by(events_ds.map_batches(slim, batch_format="pyarrow"), "user_id", per_bucket)
 
 
 def cusum_sql(thresh: int = THRESH, source: str = "events") -> str:

@@ -229,9 +229,8 @@ def inverted_index(
 
     Shape: per-batch per-doc DISTINCT (token, doc_id) pairs (a doc
     never spans batches, so in-batch dedup is exact and the shuffle
-    carries at most one pair per (doc, token)); coarse token-hash
-    bucket shuffle (cogroup._str_bucket_of, the engine's established
-    shape); per bucket one vectorized pass — sort by (token, doc_id),
+    carries at most one pair per (doc, token)); one
+    ``cogroup.shuffle_by`` on the token; per bucket one vectorized pass — sort by (token, doc_id),
     group boundaries by np.unique, postings assembled zero-python via
     ``pa.ListArray.from_arrays`` offsets. No per-token work anywhere.
 
@@ -246,10 +245,9 @@ def inverted_index(
     doc_id) — value-exact including postings order."""
     import re
 
-    from .cogroup import _str_bucket_of, default_n_buckets
+    from .cogroup import shuffle_by
 
     pat = re.compile(TOKEN_RE)
-    n_buckets = default_n_buckets()
 
     def pairs(t: pa.Table) -> pa.Table:
         toks = t.column(text_col).to_pandas().str.lower().str.findall(pat)
@@ -260,18 +258,15 @@ def inverted_index(
                 {
                     "token": pa.array([], pa.string()),
                     id_col: pa.array([], pa.int64()),
-                    "__bucket": pa.array([], pa.int64()),
                 }
             )
         flat = np.array([w for ws in toks for w in ws], dtype=object)
         doc = np.repeat(ids, lens)
         dedup = pd.DataFrame({"token": flat, id_col: doc}).drop_duplicates()
-        tok_arr = pa.array(dedup["token"], pa.string())
         return pa.table(
             {
-                "token": tok_arr,
+                "token": pa.array(dedup["token"], pa.string()),
                 id_col: pa.array(dedup[id_col].to_numpy(np.int64), pa.int64()),
-                "__bucket": pa.array(_str_bucket_of(tok_arr, n_buckets), pa.int64()),
             }
         )
 
@@ -312,11 +307,7 @@ def inverted_index(
             }
         )
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(build, batch_format="pandas")
-    )
+    return shuffle_by(ds.map_batches(pairs, batch_format="pyarrow"), "token", build)
 
 
 def phrase_search(docs_ds, phrase: str, id_col: str = "doc_id",
@@ -404,9 +395,7 @@ def daily_top_terms(pages_ds, k: int = 5):
     import pandas as pd
     import pyarrow as pa
 
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def partial(t: pa.Table) -> pa.Table:
         day = (
@@ -429,7 +418,6 @@ def daily_top_terms(pages_ds, k: int = 5):
             .size()
             .reset_index(name="n")
         )
-        df["__bucket"] = (df["day"] % nb).astype(np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -446,11 +434,7 @@ def daily_top_terms(pages_ds, k: int = 5):
             {"day": np.int64, "n": np.int64, "rank": np.int64}
         )
 
-    return (
-        pages_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(topk, batch_format="pandas")
-    )
+    return shuffle_by(pages_ds.map_batches(partial, batch_format="pyarrow"), "day", topk)
 
 
 def daily_top_terms_sql(k: int = 5) -> str:

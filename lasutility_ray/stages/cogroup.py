@@ -1,12 +1,12 @@
-"""Bucketed lookup join: attach columns from a (key, payload) table to
-another dataset's rows, fully in-cluster.
+"""The engine's shuffle primitives: the coarse-bucket shuffle
+(``shuffle_by``), the bucketed lookup join built on its key hash, and
+the bounded one-task finish (``one_task``).
 
 ``Dataset.join`` in Ray 2.49 crashes when a hash partition receives no
 left-side shard (the aggregator builds a schema-less empty table and
 ``pyarrow.Table.join`` then fails with "No match ... for key field") —
 which is the NORMAL case for a sparse left side such as a candidate
-pair list. This helper uses the engine's established coarse-bucket
-co-group shape instead (see ``pip_join.py``/``dedup.py``):
+pair list. ``lookup_join`` uses the coarse-bucket co-group instead:
 
 1. both sides map to a shared wide schema (absent columns null) with a
    ``__bucket = hash(key) % n_buckets`` shuffle key and a ``__side``
@@ -16,13 +16,13 @@ co-group shape instead (see ``pip_join.py``/``dedup.py``):
 
 The shuffle moves each side exactly once; no partition can be empty-
 schemed because every group block carries the full union schema.
-``n_buckets`` bounds parallelism of the merge stage — raise it with
-cluster size (it is a shuffle-key fanout, not a correctness knob). A
-hot left key is spread over sub-buckets by the caller's integer
+A hot left key is spread over sub-buckets by the caller's integer
 ``n_salt``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache, reduce, wraps
 
 import numpy as np
 import pandas as pd
@@ -31,19 +31,51 @@ import pyarrow as pa
 N_BUCKETS = 64
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+# one multiplier per column of a multi-column key
+_COL_MIX = (
+    _MIX,
+    np.uint64(0xC2B2AE3D27D4EB4F),
+    np.uint64(0x165667B19E3779F9),
+    np.uint64(0x27D4EB2F165667C5),
+)
+_BUCKET = "__bucket"
 
 
-def default_n_buckets(minimum: int = N_BUCKETS) -> int:
-    """Coarse-bucket fanout scaled to the cluster: ~4 buckets per CPU
-    (so the in-bucket merge stage can use every core) with a floor.
-    Bucket count only affects partitioning, never results."""
+def _cluster_cpus() -> int:
     try:
         import ray as _ray
 
-        cpus = int(_ray.cluster_resources().get("CPU", 0)) if _ray.is_initialized() else 0
+        return int(_ray.cluster_resources().get("CPU", 0)) if _ray.is_initialized() else 0
     except Exception:
-        cpus = 0
-    return max(minimum, cpus * 4)
+        return 0
+
+
+def default_n_buckets() -> int:
+    """Coarse-bucket fanout scaled to the cluster: ~4 buckets per CPU
+    (so the in-bucket stage can use every core) with a floor of
+    ``N_BUCKETS``. Bucket count only affects partitioning, never
+    results."""
+    return max(N_BUCKETS, _cluster_cpus() * 4)
+
+
+@lru_cache(maxsize=None)
+def _count_once(count_fn, cpus: int) -> int:
+    return count_fn()
+
+
+def _planned_n_buckets() -> int:
+    """``default_n_buckets()``, called once per cluster CPU count: the
+    count depends on nothing else, so the shuffles of one pipeline
+    read it once. (Keyed on the function too, so a patched count is
+    read afresh.)"""
+    return _count_once(default_n_buckets, _cluster_cpus())
+
+
+def capped_n_buckets(n_rows: int) -> int:
+    """Bucket count for the iterative graph loops: one bucket per
+    ~200k rows, at least 4 and at most ``default_n_buckets()`` — small
+    inputs keep few, well-filled groups across many rounds."""
+    return max(4, min(default_n_buckets(), n_rows // 200_000 + 1))
 
 
 def _bucket_of(key: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -60,13 +92,83 @@ def _is_str_key(t: pa.DataType) -> bool:
     )
 
 
-def _str_bucket_of(col: pa.ChunkedArray | pa.Array, n_buckets: int) -> np.ndarray:
-    """Bucket id for a string/binary key column: full-content siphash
-    (pandas' fixed-key vectorized hash — deterministic across
-    processes), so shared prefixes don't skew buckets. Collisions only
-    co-group; the merge itself compares full key values."""
+def _str_hash(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """uint64 full-content siphash of a string/binary column (pandas'
+    fixed-key vectorized hash — deterministic across processes), so
+    shared prefixes don't skew buckets."""
     vals = np.asarray(col.to_numpy(zero_copy_only=False), dtype=object)
-    return (pd.util.hash_array(vals) % np.uint64(n_buckets)).astype(np.int64)
+    return pd.util.hash_array(vals)
+
+
+def _str_bucket_of(col: pa.ChunkedArray | pa.Array, n_buckets: int) -> np.ndarray:
+    """Bucket id for a string/binary key column. Collisions only
+    co-group; the in-bucket step compares full key values."""
+    return (_str_hash(col) % np.uint64(n_buckets)).astype(np.int64)
+
+
+def _int_key(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _col_hash(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    if _is_str_key(col.type):
+        return _str_hash(col)
+    return _int_key(col).astype(np.uint64)
+
+
+def key_buckets(t: pa.Table, key: str | list[str], n_buckets: int) -> np.ndarray:
+    """int64 bucket id in ``[0, n_buckets)`` of each row's ``key``:
+    equal keys always share a bucket.
+
+    A single int key hashes as ``_bucket_of``, a single string/binary
+    key as ``_str_bucket_of``. A multi-column key multiplies each
+    column's hash (the int value, or the string's siphash) by its own
+    odd constant and xors them."""
+    keys = [key] if isinstance(key, str) else list(key)
+    if len(keys) == 1:
+        col = t.column(keys[0])
+        if _is_str_key(col.type):
+            return _str_bucket_of(col, n_buckets)
+        return _bucket_of(_int_key(col), n_buckets)
+    if len(keys) > len(_COL_MIX):
+        raise ValueError(f"key_buckets: at most {len(_COL_MIX)} key columns (got {keys})")
+    h = reduce(np.bitwise_xor, map(np.multiply, map(_col_hash, map(t.column, keys)), _COL_MIX))
+    return ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
+
+
+def shuffle_by(ds, key: str | list[str], fn):
+    """The engine's coarse-bucket shuffle: ONE ``groupby`` on a hash
+    bucket of ``key``, then ``fn`` once per bucket.
+
+    ``fn`` takes the bucket's rows as a pandas frame (every row of a
+    key is in one call, with rows of other keys beside them) and
+    returns a frame; it does the per-key work with vectorized pandas /
+    numpy, so the per-group Python dispatch of a per-key
+    ``map_groups`` is paid once per bucket. ``ds`` may be a list of
+    Datasets with one schema (a co-group): each is bucketed, then they
+    are unioned. The bucket count is fixed here, on the driver, from
+    ``default_n_buckets()``; it only affects partitioning, never
+    results."""
+    n_buckets = _planned_n_buckets()
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        return t.append_column(_BUCKET, pa.array(key_buckets(t, key, n_buckets), pa.int64()))
+
+    @wraps(fn)  # the plan names the caller's function
+    def apply(g: pd.DataFrame) -> pd.DataFrame:
+        return fn(g.drop(columns=_BUCKET))
+
+    inputs = ds if isinstance(ds, list) else [ds]
+    parts = [d.map_batches(add_bucket, batch_format="pyarrow") for d in inputs]
+    tagged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    return tagged.groupby(_BUCKET).map_groups(apply, batch_format="pandas")
+
+
+def distinct_rows(ds, cols: list[str]):
+    """Distinct ``cols`` rows of ``ds`` (other columns dropped): one
+    ``shuffle_by`` on all of ``cols``, C-speed ``drop_duplicates`` in
+    each bucket."""
+    return shuffle_by(ds, cols, lambda g: g.drop_duplicates(cols)[cols])
 
 
 def _arrow_schema(ds, type_overrides: dict | None = None) -> pa.Schema:
@@ -140,7 +242,7 @@ def lookup_join(
     Right-side shuffle volume multiplies by ``n_salt`` (the right side
     is the small lookup side by contract), results are identical."""
     if n_buckets is None:
-        n_buckets = default_n_buckets()
+        n_buckets = _planned_n_buckets()
     if not isinstance(n_salt, int) or n_salt < 1:
         raise ValueError(f"n_salt must be an int >= 1 (got {n_salt!r})")
     if how not in ("inner", "semi", "anti"):
@@ -159,17 +261,12 @@ def lookup_join(
             f"{left_schema.field(left_key).type} vs right "
             f"{right_schema.field(right_key).type}"
         )
-    key_type = pa.large_string() if str_key else pa.int64()
 
     def tag_left(t: pa.Table) -> pa.Table:
         cols = {c: t.column(c).cast(left_schema.field(c).type) for c in left_cols}
-        if str_key:
-            cols["__key"] = t.column(left_key).cast(key_type)
-            bucket = _str_bucket_of(t.column(left_key), n_buckets)
-        else:
-            key = t.column(left_key).to_numpy(zero_copy_only=False).astype(np.int64)
-            cols["__key"] = pa.array(key, pa.int64())
-            bucket = _bucket_of(key, n_buckets)
+        k = t.column(left_key)
+        cols["__key"] = k.cast(pa.large_string()) if str_key else pa.array(_int_key(k), pa.int64())
+        bucket = key_buckets(t, left_key, n_buckets)
         for rc in attach:
             cols["__r_" + rc] = pa.nulls(len(t), right_schema.field(rc).type)
         cols["__side"] = pa.array(np.zeros(len(t), dtype=np.int8))
@@ -190,13 +287,9 @@ def lookup_join(
         cols = {}
         for c in left_cols:
             cols[c] = pa.nulls(len(t), left_schema.field(c).type)
-        if str_key:
-            cols["__key"] = t.column(right_key).cast(key_type)
-            bucket = _str_bucket_of(t.column(right_key), n_buckets)
-        else:
-            key = t.column(right_key).to_numpy(zero_copy_only=False).astype(np.int64)
-            cols["__key"] = pa.array(key, pa.int64())
-            bucket = _bucket_of(key, n_buckets)
+        k = t.column(right_key)
+        cols["__key"] = k.cast(pa.large_string()) if str_key else pa.array(_int_key(k), pa.int64())
+        bucket = key_buckets(t, right_key, n_buckets)
         for rc in attach:
             cols["__r_" + rc] = t.column(rc).cast(right_schema.field(rc).type)
         cols["__side"] = pa.array(np.ones(len(t), dtype=np.int8))
@@ -288,43 +381,20 @@ def one_task(fn, *args):
     return ray.get(run.remote(fn, plain, block_refs))
 
 
-def group_apply_bucketed(ds, key_col: str, fn, n_buckets: int | None = None):
+def group_apply_bucketed(ds, key_col: str, fn):
     """``ds.groupby(key_col).map_groups(fn)`` with the per-group UDF
     dispatch paid at C speed.
 
     Ray 2.49's ``map_groups`` slices and format-converts once per
     group inside the sort-shuffled blocks — measured ~11 s of pure
     overhead for a NOOP over 576 groups x 4M rows, dwarfing the actual
-    0.3 s sort. This helper shuffles on a coarse int bucket of the key
-    (full-content siphash for string keys) and applies ``fn`` per key
-    via an in-bucket ``pandas.groupby`` — the engine's established
-    coarse-bucket shape (see voxelize/sessionize/line_dedup).
-
-    ``fn`` must CONSTRUCT its output frame (not mutate/pass through
-    the input — the input ``sub`` still carries the bucket column).
-    Group order within/across buckets is unspecified, as with
-    map_groups."""
-    n_buckets = n_buckets or default_n_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        col = t.column(key_col)
-        if _is_str_key(col.type):
-            b = _str_bucket_of(col, n_buckets)
-        else:
-            b = _bucket_of(
-                col.to_numpy(zero_copy_only=False).astype(np.int64), n_buckets
-            )
-        return t.append_column("__gab_bucket", pa.array(b, pa.int64()))
+    0.3 s sort. This helper runs ``shuffle_by`` on ``key_col`` (``ds``
+    may be a list, as there) and applies ``fn`` per key via an
+    in-bucket ``pandas.groupby``. Group order within/across buckets is
+    unspecified, as with map_groups."""
 
     def apply_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        outs = [
-            fn(sub.drop(columns="__gab_bucket"))
-            for _, sub in g.groupby(key_col, sort=False)
-        ]
+        outs = [fn(sub) for _, sub in g.groupby(key_col, sort=False)]
         return pd.concat(outs, ignore_index=True) if len(outs) > 1 else outs[0]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__gab_bucket")
-        .map_groups(apply_bucket, batch_format="pandas")
-    )
+    return shuffle_by(ds, key_col, apply_bucket)

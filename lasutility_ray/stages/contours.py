@@ -133,23 +133,10 @@ def contour_segments(docs_ds, thresh: int = Z_THRESH):
             )
         return pd.concat(rows, ignore_index=True).astype(np.int64)
 
-    from .cogroup import default_n_buckets
+    from .cogroup import shuffle_by
 
-    nb = default_n_buckets()
-
-    def tag(t: pa.Table) -> pa.Table:
-        a = t.column("anchor").to_numpy().astype(np.uint64)
-        h = (a * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(nb)).astype(np.int64))
-        )
-
-    return (
-        _cells_ds(docs_ds)
-        .map_batches(blocks, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(march, batch_format="pandas")
+    return shuffle_by(
+        _cells_ds(docs_ds).map_batches(blocks, batch_format="pyarrow"), "anchor", march
     )
 
 

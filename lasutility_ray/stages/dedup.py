@@ -337,41 +337,6 @@ def _pair_indices(new_group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_rows, b_rows
 
 
-N_SHUFFLE_BUCKETS = 64  # floor; pipelines scale it to the cluster
-
-
-def _dedup_pairs(pairs_ds):
-    """Distinct (a, b) via the coarse-bucket shape: ONE shuffle on a
-    single int64 hash of the pair, C-speed ``drop_duplicates`` inside
-    each bucket. (A ``groupby(["a","b"]).aggregate(Count)`` computes
-    the same thing but Ray 2.49's multi-key aggregate costs ~10 s of
-    fixed overhead on even a few thousand pairs; a per-pair
-    ``map_groups`` would be worse still — millions of 1-row python
-    groups.)"""
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-    mix_a = np.uint64(0x9E3779B97F4A7C15)
-    mix_b = np.uint64(0xC2B2AE3D27D4EB4F)
-
-    def tag(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = a * mix_a ^ b * mix_b
-        return t.append_column(
-            "__bucket", pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64))
-        )
-
-    def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"])[["a", "b"]]
-
-    return (
-        pairs_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq, batch_format="pandas")
-    )
-
-
 def minhash_candidate_pairs(
     ds, id_col: str = "doc_id", text_col: str = "text", distinct: bool = True
 ):
@@ -379,20 +344,13 @@ def minhash_candidate_pairs(
     (``distinct=False`` skips the final dedup shuffle when the caller
     collects the small candidate set anyway).
 
-    The shuffle key is a coarse hash bucket (64 partitions); the fine
-    (band_id, band_hash) grouping runs inside each bucket with a
-    C-speed pandas groupby — one python call per bucket, not per
-    band-hash (tiny-group map_groups overhead dominates otherwise)."""
-    from .cogroup import default_n_buckets
+    One ``shuffle_by`` on the band hash; the fine (band_id, band_hash)
+    grouping runs inside each bucket with a C-speed pandas groupby."""
+    from .cogroup import distinct_rows, shuffle_by
 
-    nb = default_n_buckets()
     bands = ds.map_batches(
         lambda t: minhash_band_rows(t, id_col, text_col), batch_format="pyarrow"
     )
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = t.column("band_hash").to_numpy()
-        return t.append_column("bucket", pa.array((h % nb).astype(np.int64)))
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         sub = g.drop_duplicates(["band_id", "band_hash", "id"])
@@ -408,12 +366,8 @@ def minhash_candidate_pairs(
             return pd.DataFrame({"a": [], "b": []}, dtype=np.int64)
         return pd.DataFrame({"a": ids[ai], "b": ids[bi]}).drop_duplicates()
 
-    pairs = (
-        bands.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
-    return _dedup_pairs(pairs) if distinct else pairs
+    pairs = shuffle_by(bands, "band_hash", pairs_in_bucket)
+    return distinct_rows(pairs, ["a", "b"]) if distinct else pairs
 
 
 def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
@@ -638,13 +592,7 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         m = ham <= max_hamming
         return pd.DataFrame({"a": ids[ai][m], "b": ids[bi][m], "hamming": ham[m]})
 
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t.column("key").to_numpy()
-        return t.append_column("bucket", pa.array((k % nb).astype(np.int64)))
+    from .cogroup import shuffle_by
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = [
@@ -662,11 +610,7 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         )
 
     chunks = ds.map_batches(to_chunks, batch_format="pyarrow")
-    pairs = (
-        chunks.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
+    pairs = shuffle_by(chunks, "key", pairs_in_bucket)
     # cross-bucket dedup: vectorized Min aggregate keeps one hamming
     from ray.data.aggregate import Min
 
@@ -733,9 +677,7 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 
     f_sh, f_df = sampled_shingle_df(ds, text_col, freq_sample_docs)
 
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
+    from .cogroup import distinct_rows, shuffle_by
 
     def prefix_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_numpy()
@@ -760,7 +702,6 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                 "shingle": pa.array(sh_flat.astype(np.int64), pa.int64()),
                 "id": pa.array(id_flat, pa.int64()),
                 "n_sh": pa.array(n_flat, pa.int64()),
-                "bucket": pa.array((sh_flat % np.uint64(nb)).astype(np.int64)),
             }
         )
 
@@ -784,10 +725,9 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             return pd.DataFrame({"a": [], "b": []}, dtype=np.int64)
         return pd.DataFrame({"a": ids[ai][ok], "b": ids[bi][ok]}).drop_duplicates()
 
-    cands = _dedup_pairs(
-        ds.map_batches(prefix_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+    cands = distinct_rows(
+        shuffle_by(ds.map_batches(prefix_rows, batch_format="pyarrow"), "shingle", pairs_in_bucket),
+        ["a", "b"],
     )
     return _verify_pairs_jaccard(cands, ds, id_col, text_col, threshold)
 
@@ -821,9 +761,8 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
     """
     f_sh, f_df = sampled_shingle_df(ds, text_col, freq_sample_docs)
 
-    from .cogroup import default_n_buckets
+    from .cogroup import distinct_rows, shuffle_by
 
-    nb = default_n_buckets()
     t_frac = threshold_e6 / 1_000_000.0
 
     def role_rows(batch: pa.Table) -> pa.Table:
@@ -858,7 +797,6 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                 "shingle": pa.array(sh_flat.astype(np.int64), pa.int64()),
                 "id": pa.array(id_flat, pa.int64()),
                 "role": pa.array(role_flat, pa.int64()),
-                "bucket": pa.array((sh_flat % np.uint64(nb)).astype(np.int64)),
             }
         )
 
@@ -874,10 +812,9 @@ def containment_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             columns={"id_a": "a", "id_b": "b"}
         ).drop_duplicates()
 
-    cands = _dedup_pairs(
-        ds.map_batches(role_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+    cands = distinct_rows(
+        shuffle_by(ds.map_batches(role_rows, batch_format="pyarrow"), "shingle", pairs_in_bucket),
+        ["a", "b"],
     )
     return _verify_pairs_containment(cands, ds, id_col, text_col, threshold_e6)
 
@@ -1150,10 +1087,9 @@ def embedding_lsh_pairs(
     pair at cosine 0.45; ``q_embed_lsh_recall`` measures realized
     recall against the exact path, 1.0 on the fixtures).
 
-    Shuffle volume = n_tables x the embeddings table; the shuffle key
-    is a coarse 64-way hash bucket and the fine (table, key) grouping
-    runs inside each bucket at C speed (same pattern as
-    ``minhash_candidate_pairs``). Cross-table duplicate pairs collapse
+    Shuffle volume = n_tables x the embeddings table; one
+    ``shuffle_by`` on (table, key), the fine (table, key) grouping
+    inside each bucket at C speed. Cross-table duplicate pairs collapse
     in a final vectorized groupby-aggregate.
 
     SIZE-ADAPTIVE (the dedup family's established shape): below
@@ -1166,7 +1102,7 @@ def embedding_lsh_pairs(
     derived inputs pay one extra upstream execution on the small
     branch only (forced-fallback test pins both paths equal).
     """
-    from .cogroup import default_n_buckets, one_task
+    from .cogroup import one_task, shuffle_by
 
     n_vecs = ds.count()
     if n_vecs <= exact_limit:
@@ -1204,7 +1140,6 @@ def embedding_lsh_pairs(
 
     if n_tables is None:
         n_tables = lsh_tables_for(threshold, planes_per_table)
-    nb = default_n_buckets()
     rng = np.random.default_rng(7)
     planes = rng.standard_normal((64, n_tables * planes_per_table))
     pow2 = 1 << np.arange(planes_per_table, dtype=np.int64)
@@ -1217,14 +1152,12 @@ def embedding_lsh_pairs(
         ).sum(axis=2)  # (n, n_tables)
         tables = np.tile(np.arange(n_tables, dtype=np.int64), len(vecs))
         flat_keys = keys.ravel()
-        bucket = (tables * 1315423911 + flat_keys * 2654435761) % nb
         idx = np.repeat(np.arange(len(vecs), dtype=np.int64), n_tables)
         return pa.table(
             {
                 "vec_id": batch.column("vec_id").take(pa.array(idx)),
                 "table": pa.array(tables, pa.int64()),
                 "key": pa.array(flat_keys, pa.int64()),
-                "bucket": pa.array(bucket, pa.int64()),
                 "embedding": batch.column("embedding").take(pa.array(idx)),
             }
         )
@@ -1263,11 +1196,7 @@ def embedding_lsh_pairs(
 
     from ray.data.aggregate import Max
 
-    pairs = (
-        ds.map_batches(keyed, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(one_bucket_pairs, batch_format="pandas")
-    )
+    pairs = shuffle_by(ds.map_batches(keyed, batch_format="pyarrow"), ["table", "key"], one_bucket_pairs)
     # cross-table dedup (cosines are identical across tables)
     return pairs.groupby(["a", "b"]).aggregate(Max("pcos", alias_name="cosine"))
 

@@ -71,9 +71,7 @@ def _ed1_verify(wa: pd.Series, wb: pd.Series) -> np.ndarray:
     return sub_ok | del_ok
 
 
-def _signatures(t: pa.Table, n_buckets: int) -> pa.Table:
-    from .cogroup import _str_bucket_of
-
+def _signatures(t: pa.Table) -> pa.Table:
     w = t.column("word").to_pandas()
     ln = w.str.len().to_numpy(np.int64)
     reps = ln + 1
@@ -85,12 +83,10 @@ def _signatures(t: pa.Table, n_buckets: int) -> pa.Table:
         for wd, kk in zip(words.tolist(), k.tolist())
     ]
     df = pd.DataFrame({"sig": sigs, "word": words}).drop_duplicates()
-    sig_arr = pa.array(df["sig"], pa.string())
     return pa.table(
         {
-            "sig": sig_arr,
+            "sig": pa.array(df["sig"], pa.string()),
             "word": pa.array(df["word"], pa.string()),
-            "__bucket": pa.array(_str_bucket_of(sig_arr, n_buckets), pa.int64()),
         }
     )
 
@@ -98,10 +94,9 @@ def _signatures(t: pa.Table, n_buckets: int) -> pa.Table:
 def ed1_join(words_ds, word_col: str = "word"):
     """Distinct-word Dataset -> (a, b) pairs with levenshtein <= 1,
     a < b lexicographically, each pair exactly once."""
-    from .cogroup import default_n_buckets
+    from .cogroup import distinct_rows, shuffle_by
     from .dedup import _pair_indices
 
-    n_buckets = default_n_buckets()
     ds = words_ds
     if word_col != "word":
         ds = ds.rename_columns({word_col: "word"})
@@ -124,35 +119,10 @@ def ed1_join(words_ds, word_col: str = "word"):
         b = np.maximum(wa.to_numpy(dtype=object), wb.to_numpy(dtype=object))
         return pd.DataFrame({"a": a, "b": b}).drop_duplicates()
 
-    pairs = (
-        ds.map_batches(lambda t: _signatures(t, n_buckets), batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    pairs = shuffle_by(ds.map_batches(_signatures, batch_format="pyarrow"), "sig", per_bucket)
     # a pair can share signatures in DIFFERENT buckets only if the
-    # shared sigs differ; one cheap pair-keyed dedup closes that
-    # (string flavor of dedup._dedup_pairs: full-content hash bucket,
-    # C-speed drop_duplicates inside)
-    from .cogroup import _str_bucket_of
-
-    def tag(t: pa.Table) -> pa.Table:
-        key = pa.array(
-            [a + "\x00" + b for a, b in zip(
-                t.column("a").to_pylist(), t.column("b").to_pylist())],
-            pa.string(),
-        )
-        return t.append_column(
-            "__bucket", pa.array(_str_bucket_of(key, n_buckets), pa.int64())
-        )
-
-    def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"])[["a", "b"]]
-
-    return (
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq, batch_format="pandas")
-    )
+    # shared sigs differ; one pair-keyed dedup closes that
+    return distinct_rows(pairs, ["a", "b"])
 
 
 def host_vocab(docs_ds):

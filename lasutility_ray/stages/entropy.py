@@ -20,8 +20,8 @@ millibit precedent).
 batch to its distinct-pair space before the ONE corpus-wide shuffle;
 the entropy pass then shuffles only the (user, type, n) table —
 bounded by users x event-type vocabulary, never the event count —
-with a coarse user-bucket key and one vectorized segment scan per
-bucket (``windowfn`` shape).
+through ``cogroup.shuffle_by`` on the user, with one vectorized
+segment scan per bucket.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ def user_entropy(events_ds):
     entropy_millinats)."""
     from ray.data.aggregate import Sum
 
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -65,10 +63,6 @@ def user_entropy(events_ds):
         .groupby(["user_id", "event_type"])
         .aggregate(Sum("n", alias_name="n"))
     )
-
-    def bucket(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("__b", pa.array(_bucket_of(uid, n_buckets)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
@@ -105,11 +99,7 @@ def user_entropy(events_ds):
             }
         )
 
-    return (
-        counts.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return shuffle_by(counts, "user_id", per_bucket)
 
 
 def user_entropy_sql(source: str = "events") -> str:

@@ -17,30 +17,16 @@ import pyarrow as pa
 
 WINDOW_MS = 300_000  # 5 min
 
-_MIX_A = np.uint64(0x9E3779B97F4A7C15)
-_MIX_B = np.uint64(0xC2B2AE3D27D4EB4F)
-
 
 def _window_final(partials_ds, agg_spec: dict[str, tuple[str, str]]):
     """Final combine of (user_id, window_start) partials via the
-    coarse-bucket shape: ONE shuffle on a single int64 hash bucket,
-    C-speed pandas groupby inside (Ray 2.49's multi-key
+    coarse-bucket shuffle on the (user_id, window_start) key, C-speed
+    pandas groupby inside (Ray 2.49's multi-key
     ``groupby().aggregate()`` pays ~seconds of fixed overhead per
     aggregate even on small partial tables). All aggregates are
     order-independent (sum/min/max of partials), so the result is
     identical to the direct multi-key aggregate."""
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        w = t.column("window_start").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = u * _MIX_A ^ w * _MIX_B
-        return t.append_column(
-            "__bucket",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
+    from .cogroup import shuffle_by
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         out = (
@@ -50,11 +36,7 @@ def _window_final(partials_ds, agg_spec: dict[str, tuple[str, str]]):
         )
         return out
 
-    return (
-        partials_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
+    return shuffle_by(partials_ds, ["user_id", "window_start"], combine)
 
 
 def _partial(batch: pa.Table) -> pa.Table:
@@ -148,15 +130,7 @@ def sessionize(events_ds, gap_ms: int = 1_800_000):
     # time gap on the (user, ts)-sorted frame
     import pyarrow as pa
 
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy()
-        return t.select(["user_id", "ts"]).append_column(
-            "__b", pa.array(_bucket_of(uid, n_buckets))
-        )
+    from .cogroup import shuffle_by
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="stable")
@@ -179,11 +153,8 @@ def sessionize(events_ds, gap_ms: int = 1_800_000):
             }
         )
 
-    return (
-        events_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    slim = events_ds.map_batches(lambda t: t.select(["user_id", "ts"]), batch_format="pyarrow")
+    return shuffle_by(slim, "user_id", per_bucket)
 
 
 def props_stats(events_ds):
@@ -198,10 +169,7 @@ def props_stats(events_ds):
     import pyarrow.compute as pc
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-    mix = np.uint64(0x9E3779B97F4A7C15)
+    from .cogroup import lookup_join, shuffle_by
 
     def extract(t: pa.Table) -> pa.Table:
         m = pc.extract_regex(t.column("props"), r"(?P<k>\d+)")
@@ -221,19 +189,10 @@ def props_stats(events_ds):
         .materialize()
     )
 
-    def tag(t: pa.Table) -> pa.Table:
+    def valid_k(t: pa.Table) -> pa.Table:
         # null k (props with no digit) must be skipped, matching the
-        # SQL mirror's count(DISTINCT k) null semantics — and a null
-        # would raise in the uint64 cast anyway.
-        t = t.filter(pc.is_valid(t.column("k")))
-        k = t.column("k").to_numpy().astype(np.uint64)
-        et = np.asarray(
-            t.column("event_type").to_numpy(zero_copy_only=False), dtype=object
-        )
-        h = pd.util.hash_array(et) ^ (k * mix)
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(nb)).astype(np.int64))
-        )
+        # SQL mirror's count(DISTINCT k) null semantics
+        return t.filter(pc.is_valid(t.column("k")))
 
     def uniq_count(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -243,12 +202,10 @@ def props_stats(events_ds):
             .reset_index(name="part")
         )
 
-    from .cogroup import lookup_join
-
     nd = (
-        slim.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq_count, batch_format="pandas")
+        shuffle_by(
+            slim.map_batches(valid_k, batch_format="pyarrow"), ["event_type", "k"], uniq_count
+        )
         .groupby("event_type")
         .sum("part")
         .map_batches(
@@ -310,10 +267,7 @@ def interarrival_medians(events_ds):
     Shape: slim (user, ts_us) rows bucket by user hash (every user's
     events co-located in ONE group — the group_quantiles exactness
     contract), one vectorized sort + diff + nearest-rank per bucket."""
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-    mix = np.uint64(0x9E3779B97F4A7C15)
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         us = (
@@ -327,10 +281,6 @@ def interarrival_medians(events_ds):
             {
                 "user_id": pa.array(uid, pa.int64()),
                 "us": pa.array(us, pa.int64()),
-                "__bucket": pa.array(
-                    (((uid.astype(np.uint64) * mix) >> np.uint64(33))
-                     % np.uint64(nb)).astype(np.int64)
-                ),
             }
         )
 
@@ -365,11 +315,7 @@ def interarrival_medians(events_ds):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return shuffle_by(events_ds.map_batches(slim, batch_format="pyarrow"), "user_id", per_bucket)
 
 
 def interarrival_sql(source: str = "events") -> str:

@@ -38,9 +38,8 @@ def funnel_stages(
     window_s: int = DEFAULT_WINDOW_S,
 ):
     """events -> one row per funnel stage: (stage, step, n_users)."""
-    from .cogroup import _bucket_of, default_n_buckets
+    from .cogroup import shuffle_by
 
-    n_buckets = default_n_buckets()
     window_us = int(window_s) * 1_000_000
     steps = tuple(steps)
     step_set = list(steps)
@@ -62,7 +61,6 @@ def funnel_stages(
                 "user_id": pa.array(uid),
                 "__us": pa.array(us),
                 "step": pa.array(et[keep].to_numpy(dtype=object), pa.string()),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
             }
         )
 
@@ -93,11 +91,11 @@ def funnel_stages(
 
     from ray.data.aggregate import Sum
 
+    slimmed = events_ds.select_columns(["user_id", "ts", "event_type"]).map_batches(
+        slim, batch_format="pyarrow"
+    )
     return (
-        events_ds.select_columns(["user_id", "ts", "event_type"])
-        .map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
+        shuffle_by(slimmed, "user_id", per_bucket)
         .groupby(["stage", "step"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )

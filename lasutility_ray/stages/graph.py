@@ -271,15 +271,11 @@ def pagerank_sql(n_iters: int = N_ITERS, src: str = "documents") -> str:
 
 def undirected_host_edges(docs_ds):
     """documents -> DISTINCT undirected host edges (u < v), slim.
-    Distinct via the coarse-bucket drop_duplicates shape — the
-    multi-key ``groupby(["u","v"]).aggregate(Count)`` it replaced
-    carries Ray 2.49's ~10 s fixed overhead (the `_dedup_pairs`
-    lesson; measured 19 s -> 9 s on q_triangle_counts at sf0.1)."""
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-    mix_u = np.uint64(0x9E3779B97F4A7C15)
-    mix_v = np.uint64(0xC2B2AE3D27D4EB4F)
+    Distinct via ``cogroup.distinct_rows`` — the multi-key
+    ``groupby(["u","v"]).aggregate(Count)`` it replaced carries Ray
+    2.49's ~10 s fixed overhead (measured 19 s -> 9 s on
+    q_triangle_counts at sf0.1)."""
+    from .cogroup import distinct_rows
 
     def und(t: pa.Table) -> pa.Table:
         src, d1, d2 = edge_targets(t.column("doc_id").to_numpy())
@@ -290,28 +286,15 @@ def undirected_host_edges(docs_ds):
         u = np.minimum(s, d)
         v = np.maximum(s, d)
         df = pd.DataFrame({"u": u, "v": v}).drop_duplicates()
-        u2 = df["u"].to_numpy().astype(np.uint64)
-        v2 = df["v"].to_numpy().astype(np.uint64)
-        h = u2 * mix_u ^ v2 * mix_v
         return pa.table(
             {
                 "u": pa.array(df["u"].to_numpy(), pa.int64()),
                 "v": pa.array(df["v"].to_numpy(), pa.int64()),
-                "__bucket": pa.array(
-                    ((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)
-                ),
             }
         )
 
-    def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["u", "v"])[["u", "v"]]
-
-    return (
-        docs_ds.select_columns(["doc_id"])
-        .map_batches(und, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq, batch_format="pandas")
-    )
+    edges = docs_ds.select_columns(["doc_id"]).map_batches(und, batch_format="pyarrow")
+    return distinct_rows(edges, ["u", "v"])
 
 
 def triangle_counts(docs_ds):
@@ -337,15 +320,7 @@ def triangle_counts(docs_ds):
     the same orientation and triple join, so per-host counts are
     value-exact.
     """
-    from ray.data.aggregate import Sum
-
-    from .cogroup import _bucket_of, default_n_buckets, lookup_join
-
-    n_buckets = default_n_buckets()
-
-    return triangle_counts_from_edges(
-        undirected_host_edges(docs_ds).materialize(), n_buckets
-    )
+    return triangle_counts_from_edges(undirected_host_edges(docs_ds).materialize())
 
 
 LOCAL_TRI_EDGE_LIMIT = 2_000_000
@@ -396,7 +371,7 @@ def _local_triangle_frame(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"host": nodes[nz], "n_triangles": cnt[nz]})
 
 
-def triangle_counts_from_edges(edges, n_buckets: int | None = None):
+def triangle_counts_from_edges(edges):
     """Triangle counts from a MATERIALIZED distinct-edge table —
     callers that already built the edges (clustering_coefficients)
     pass them here instead of paying the corpus scan + distinct
@@ -413,10 +388,7 @@ def triangle_counts_from_edges(edges, n_buckets: int | None = None):
 
     import ray.data as rd
 
-    from .cogroup import _bucket_of, default_n_buckets, lookup_join, one_task
-
-    if n_buckets is None:
-        n_buckets = default_n_buckets()
+    from .cogroup import lookup_join, one_task, shuffle_by
 
     if edges.count() <= LOCAL_TRI_EDGE_LIMIT:
         return rd.from_pandas(
@@ -509,12 +481,6 @@ def triangle_counts_from_edges(edges, n_buckets: int | None = None):
 
     both = wedge_ds.union(oriented.map_batches(edge_rows, batch_format="pyarrow"))
 
-    def bucket(t: pa.Table) -> pa.Table:
-        k1 = t.column("k1").to_numpy(zero_copy_only=False).astype(np.int64)
-        k2 = t.column("k2").to_numpy(zero_copy_only=False).astype(np.int64)
-        key = k1 * np.int64(0x9E3779B9) + k2
-        return t.append_column("__b", pa.array(_bucket_of(key, n_buckets)))
-
     def close_and_count(g: pd.DataFrame) -> pd.DataFrame:
         is_edge = g["kind"].to_numpy() == 1
         ek = set(
@@ -545,9 +511,7 @@ def triangle_counts_from_edges(edges, n_buckets: int | None = None):
         return pd.DataFrame({"host": uh, "c": cnt.astype(np.int64)})
 
     return (
-        both.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(close_and_count, batch_format="pandas")
+        shuffle_by(both, ["k1", "k2"], close_and_count)
         .groupby("host")
         .aggregate(Sum("c", alias_name="n_triangles"))
     )
@@ -837,9 +801,9 @@ def sssp_hosts(docs_ds, rounds: int = SSSP_ROUNDS):
     # width a toy graph pays 100+-block sort shuffles per round (~17 s
     # for 30 rows, measured). Size buckets to the adjacency instead;
     # big graphs still get the full default width.
-    from .cogroup import default_n_buckets
+    from .cogroup import capped_n_buckets
 
-    n_buckets = max(4, min(default_n_buckets(), adj.count() // 200_000 + 1))
+    n_buckets = capped_n_buckets(adj.count())
 
     def seed_rows(df: pd.DataFrame) -> pd.DataFrame:
         h = np.unique(

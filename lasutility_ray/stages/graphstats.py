@@ -182,10 +182,8 @@ def two_hop_sizes(docs_ds):
     graph.py's ``FAST_PATH_MAX_EDGES`` symmetric edges the whole chain
     runs in ONE task — 4 wide stages of fixed shuffle overhead on a
     bounded edge table (pinned equal to the distributed chain)."""
-    from .cogroup import default_n_buckets, lookup_join
+    from .cogroup import lookup_join, shuffle_by
     from .graph import FAST_PATH_MAX_EDGES, undirected_host_edges
-
-    nb = default_n_buckets()
 
     def sym(t: pa.Table) -> pa.Table:
         u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -213,17 +211,6 @@ def two_hop_sizes(docs_ds):
 
     both = edges.union(hop2.map_batches(second, batch_format="pyarrow"))
 
-    mix = np.uint64(0x9E3779B97F4A7C15)
-
-    def tag(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy().astype(np.uint64)
-        d = t.column("dst").to_numpy().astype(np.uint64)
-        h = s * mix ^ d
-        return t.append_column(
-            "__bucket",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
-
     def count_part(g: pd.DataFrame) -> pd.DataFrame:
         sub = g[g["src"] != g["dst"]].drop_duplicates(["src", "dst"])
         return (
@@ -233,9 +220,7 @@ def two_hop_sizes(docs_ds):
     from ray.data.aggregate import Sum
 
     return (
-        both.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(count_part, batch_format="pandas")
+        shuffle_by(both, ["src", "dst"], count_part)
         .groupby("src")
         .aggregate(Sum("part", alias_name="n_reach2"))
         .map_batches(
@@ -349,10 +334,8 @@ def _mst_boruvka(edges):
     """Distributed Borůvka rounds over Datasets."""
     import ray.data as rd
 
-    from .cogroup import default_n_buckets, lookup_join
+    from .cogroup import capped_n_buckets, lookup_join, shuffle_by
     from .dedup import duplicate_components
-
-    nb = default_n_buckets()
 
     def weighted(t: pa.Table) -> pa.Table:
         u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -366,6 +349,7 @@ def _mst_boruvka(edges):
         )
 
     ew = edges.map_batches(weighted, batch_format="pyarrow").materialize()
+    n_blocks = capped_n_buckets(ew.count())
 
     def ends(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -381,18 +365,8 @@ def _mst_boruvka(edges):
         out["comp"] = out["node"]
         return out
 
-    def tag_node(t: pa.Table) -> pa.Table:
-        n = t.column("node").to_numpy().astype(np.uint64)
-        return t.append_column(
-            "__bucket",
-            pa.array((((n * _W_MIX) >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
-
     labels = (
-        ew.map_batches(ends, batch_format="pyarrow")
-        .map_batches(tag_node, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq_nodes, batch_format="pandas")
+        shuffle_by(ew.map_batches(ends, batch_format="pyarrow"), "node", uniq_nodes)
         .map_batches(
             lambda t: pa.table(
                 {"node": t.column("node").cast(pa.int64()),
@@ -437,24 +411,11 @@ def _mst_boruvka(edges):
             first = g.drop_duplicates("comp", keep="first")
             return first[["comp", "u", "v", "w"]]
 
-        def tag_comp(t: pa.Table) -> pa.Table:
-            c = t.column("comp").to_numpy().astype(np.uint64)
-            return t.append_column(
-                "__bucket",
-                pa.array(
-                    (((c * _W_MIX) >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)
-                ),
-            )
-
         # per-comp argmin: comp rows bucket by comp (all rows of a comp
         # share a bucket), in-bucket sort + first
-        picked = (
-            live.map_batches(comp_rows, batch_format="pyarrow")
-            .map_batches(tag_comp, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(min_edge, batch_format="pandas")
-            .materialize()
-        )
+        picked = shuffle_by(
+            live.map_batches(comp_rows, batch_format="pyarrow"), "comp", min_edge
+        ).materialize()
 
         def edge_only(t: pa.Table) -> pa.Table:
             df = pd.DataFrame(
@@ -505,7 +466,7 @@ def _mst_boruvka(edges):
                     batch_format="pyarrow",
                 )
             )
-            .repartition(max(nb // 8, 1))
+            .repartition(n_blocks)
             .materialize()
         )
 
@@ -520,20 +481,4 @@ def _mst_boruvka(edges):
     for part in chosen_parts[1:]:
         out = out.union(part)
 
-    def final_uniq(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["u", "v"])[["u", "v", "w"]]
-
-    def tag_edge(t: pa.Table) -> pa.Table:
-        u = t.column("u").to_numpy().astype(np.uint64)
-        v = t.column("v").to_numpy().astype(np.uint64)
-        h = u * _W_MIX ^ v * _W_MIX2
-        return t.append_column(
-            "__bucket",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
-
-    return (
-        out.map_batches(tag_edge, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(final_uniq, batch_format="pandas")
-    )
+    return shuffle_by(out, ["u", "v"], lambda g: g.drop_duplicates(["u", "v"])[["u", "v", "w"]])

@@ -167,7 +167,7 @@ def similar_hosts(
     paying 5 wide stages of fixed shuffle overhead — measured 13.6 s
     -> ~4 s at sf0.1/32cpus with identical output (the distributed
     path stays the >limit fallback, pinned equal)."""
-    from .cogroup import default_n_buckets, lookup_join, one_task
+    from .cogroup import distinct_rows, lookup_join, one_task, shuffle_by
 
     vocab_ds = _host_vocab(pages_ds, url_col=url_col, text_col=text_col)
 
@@ -193,7 +193,6 @@ def similar_hosts(
         )
         return ray.data.from_arrow(out)
 
-    nb = default_n_buckets()
     thr = threshold_e6 / 1_000_000.0
 
     def prefix_rows(t: pa.Table) -> pa.Table:
@@ -215,7 +214,6 @@ def similar_hosts(
                 "shingle": pa.array(sh_flat.astype(np.int64), pa.int64()),
                 "host": pa.array(out_h, pa.string()),
                 "n_sh": pa.array(n_flat, pa.int64()),
-                "bucket": pa.array((sh_flat % np.uint64(nb)).astype(np.int64)),
             }
         )
 
@@ -240,29 +238,13 @@ def similar_hosts(
             {"host_a": hosts[ai][ok], "host_b": hosts[bi][ok]}
         ).drop_duplicates()
 
-    def tag_pair(t: pa.Table) -> pa.Table:
-        a = np.asarray(t.column("host_a").to_numpy(zero_copy_only=False), dtype=object)
-        b = np.asarray(t.column("host_b").to_numpy(zero_copy_only=False), dtype=object)
-        h = pd.util.hash_array(a) ^ pd.util.hash_array(b)
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(nb)).astype(np.int64))
-        )
-
-    def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["host_a", "host_b"])[["host_a", "host_b"]]
-
     # candidate table is pair-bounded; materialize once (it feeds two
     # lookup_joins) and short-circuit the no-candidate case, whose
     # schema-less empty Dataset the join machinery cannot probe
-    cands = (
-        vocab_ds.map_batches(prefix_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .map_batches(tag_pair, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq, batch_format="pandas")
-        .materialize()
+    pairs = shuffle_by(
+        vocab_ds.map_batches(prefix_rows, batch_format="pyarrow"), "shingle", pairs_in_bucket
     )
+    cands = distinct_rows(pairs, ["host_a", "host_b"]).materialize()
     if cands.count() == 0:
         return ray.data.from_arrow(_empty)
 

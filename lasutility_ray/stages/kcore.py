@@ -110,13 +110,13 @@ def kcore_hosts(docs_ds, k: int = K_CORE, rounds: int = ROUNDS):
     import ray.data as rd
     from ray.data.aggregate import Count
 
-    from .cogroup import default_n_buckets, lookup_join
+    from .cogroup import capped_n_buckets, lookup_join
 
     edges = kcore_edges(docs_ds).materialize()
     if edges.count() <= graph.FAST_PATH_MAX_EDGES:
         return graph.local_fast_path(lambda df: _kcore_local(df, k, rounds), edges, KCORE_SCHEMA)
 
-    n_buckets = max(4, min(default_n_buckets(), edges.count() // 200_000 + 1))
+    n_buckets = capped_n_buckets(edges.count())
 
     def ends(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -227,12 +227,8 @@ def cocitation_pairs(docs_ds, min_common: int = CO_MIN_COMMON):
     needs degree-cap salting, documented not automated), then the pair-bucket count + threshold. All wedges of
     an apex stay in one bucket (bucket = f(apex)), so the count is
     exact."""
-    from .cogroup import default_n_buckets
+    from .cogroup import shuffle_by
     from .dedup import _pair_indices
-
-    nb = default_n_buckets()
-    mix = np.uint64(0x9E3779B97F4A7C15)
-    mix2 = np.uint64(0xC2B2AE3D27D4EB4F)
 
     edges = kcore_edges(docs_ds).materialize()
 
@@ -241,14 +237,7 @@ def cocitation_pairs(docs_ds, min_common: int = CO_MIN_COMMON):
         v = t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
-        b = ((src.astype(np.uint64) * mix) >> np.uint64(33)) % np.uint64(nb)
-        return pa.table(
-            {
-                "src": pa.array(src, pa.int64()),
-                "dst": pa.array(dst, pa.int64()),
-                "__bucket": pa.array(b.astype(np.int64)),
-            }
-        )
+        return pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["src", "dst"], kind="mergesort")
@@ -262,15 +251,6 @@ def cocitation_pairs(docs_ds, min_common: int = CO_MIN_COMMON):
             return pd.DataFrame({"x": [], "y": []}, dtype=np.int64)
         return pd.DataFrame({"x": d[ai], "y": d[bi]})
 
-    def tag_pair(t: pa.Table) -> pa.Table:
-        x = t.column("x").to_numpy().astype(np.uint64)
-        y = t.column("y").to_numpy().astype(np.uint64)
-        h = x * mix ^ y * mix2
-        return t.append_column(
-            "__bucket",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
-
     def count_pairs(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (
             g.groupby(["x", "y"], sort=False).size().reset_index(name="n_common")
@@ -280,14 +260,8 @@ def cocitation_pairs(docs_ds, min_common: int = CO_MIN_COMMON):
             {"host_a": np.int64, "host_b": np.int64, "n_common": np.int64}
         )
 
-    return (
-        edges.map_batches(sym, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(wedges, batch_format="pandas")
-        .map_batches(tag_pair, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(count_pairs, batch_format="pandas")
-    )
+    wedge_ds = shuffle_by(edges.map_batches(sym, batch_format="pyarrow"), "src", wedges)
+    return shuffle_by(wedge_ds, ["x", "y"], count_pairs)
 
 
 def cocitation_sql(min_common: int = CO_MIN_COMMON,

@@ -19,7 +19,7 @@ import pyarrow as pa
 WEEK_US = 7 * 86_400 * 1_000_000
 
 
-def _slim(t: pa.Table, n_buckets: int, with_event_id: bool, _bucket_of):
+def _slim(t: pa.Table, with_event_id: bool):
     uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
     us = (
         t.column("ts")
@@ -30,12 +30,23 @@ def _slim(t: pa.Table, n_buckets: int, with_event_id: bool, _bucket_of):
     cols = {
         "user_id": pa.array(uid),
         "__us": pa.array(us),
-        "__b": pa.array(_bucket_of(uid, n_buckets)),
     }
     if with_event_id:
         cols["event_id"] = t.column("event_id")
         cols["event_type"] = t.column("event_type")
     return pa.table(cols)
+
+
+def _by_user(events_ds, with_event_id: bool, per_bucket):
+    """Slim events, shuffled so each user's rows meet in one
+    ``per_bucket`` call."""
+    from .cogroup import shuffle_by
+
+    cols = ["event_id", "user_id", "ts", "event_type"] if with_event_id else ["user_id", "ts"]
+    slim = events_ds.select_columns(cols).map_batches(
+        lambda t: _slim(t, with_event_id), batch_format="pyarrow"
+    )
+    return shuffle_by(slim, "user_id", per_bucket)
 
 
 def event_transitions(events_ds):
@@ -48,10 +59,6 @@ def event_transitions(events_ds):
     ORDER BY ts, event_id)`` exactly (the last event of each user
     has no successor and emits nothing)."""
     from ray.data.aggregate import Sum
-
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "__us", "event_id"], kind="stable")
@@ -77,13 +84,7 @@ def event_transitions(events_ds):
         return d
 
     return (
-        events_ds.select_columns(["event_id", "user_id", "ts", "event_type"])
-        .map_batches(
-            lambda t: _slim(t, n_buckets, True, _bucket_of),
-            batch_format="pyarrow",
-        )
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
+        _by_user(events_ds, True, per_bucket)
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -107,10 +108,6 @@ def cohort_retention(events_ds):
     they were active in. offset 0 row = cohort size."""
     from ray.data.aggregate import Sum
 
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         wk = g["__us"].to_numpy(np.int64) // WEEK_US
         d = pd.DataFrame({"user_id": g["user_id"].to_numpy(), "week": wk})
@@ -129,13 +126,7 @@ def cohort_retention(events_ds):
         return out
 
     return (
-        events_ds.select_columns(["user_id", "ts"])
-        .map_batches(
-            lambda t: _slim(t, n_buckets, False, _bucket_of),
-            batch_format="pyarrow",
-        )
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
+        _by_user(events_ds, False, per_bucket)
         .groupby(["cohort_week", "week_offset"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -150,10 +141,6 @@ def session_paths(events_ds, max_steps: int = 8):
     user, and buckets emit PARTIAL path counts."""
     from ray.data.aggregate import Sum
 
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "__us", "event_id"], kind="stable")
         rn = g.groupby("user_id", sort=False).cumcount()
@@ -166,13 +153,7 @@ def session_paths(events_ds, max_steps: int = 8):
         return out
 
     return (
-        events_ds.select_columns(["event_id", "user_id", "ts", "event_type"])
-        .map_batches(
-            lambda t: _slim(t, n_buckets, True, _bucket_of),
-            batch_format="pyarrow",
-        )
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
+        _by_user(events_ds, True, per_bucket)
         .groupby("path")
         .aggregate(Sum("n_users", alias_name="n_users"))
     )

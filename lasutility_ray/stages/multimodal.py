@@ -1002,10 +1002,9 @@ def image_phash_pairs(ds, id_col: str = "doc_id", image_col: str = "image",
     rows only — pixels never shuffle. Returns (a, b, hamming)."""
     import pandas as pd
 
-    from .cogroup import default_n_buckets
+    from .cogroup import shuffle_by
 
     hashed = image_phash(ds, id_col=id_col, image_col=image_col)
-    nb = default_n_buckets()
 
     def to_chunks(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
@@ -1018,14 +1017,12 @@ def image_phash_pairs(ds, id_col: str = "doc_id", image_col: str = "image",
              for c in range(4)]
         )
         rph = np.tile(ph.astype(np.int64), 4)
-        bucket = ((rchunk << np.int64(16)) | rkey) % nb
         return pa.table(
             {
                 "id": pa.array(rid.astype(np.int64)),
                 "chunk": pa.array(rchunk),
                 "key": pa.array(rkey),
                 "phash": pa.array(rph),
-                "bucket": pa.array(bucket.astype(np.int64)),
             }
         )
 
@@ -1055,36 +1052,12 @@ def image_phash_pairs(ds, id_col: str = "doc_id", image_col: str = "image",
             )
         return pd.concat(outs, ignore_index=True).drop_duplicates(["a", "b"])
 
-    pairs = (
-        hashed.map_batches(to_chunks, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+    pairs = shuffle_by(
+        hashed.map_batches(to_chunks, batch_format="pyarrow"), ["chunk", "key"], pairs_in_bucket
     )
-
-    # distinct pairs across band buckets (dedup.py _dedup_pairs shape,
-    # hamming kept — it is a function of the pair, so any survivor row
-    # carries the same value)
-    mix_a = np.uint64(0x9E3779B97F4A7C15)
-    mix_b = np.uint64(0xC2B2AE3D27D4EB4F)
-    nb2 = default_n_buckets()
-
-    def tag(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = a * mix_a ^ b * mix_b
-        return t.append_column(
-            "__bucket",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb2)).astype(np.int64)),
-        )
-
-    def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"])[["a", "b", "hamming"]]
-
-    return (
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq, batch_format="pandas")
-    )
+    # distinct pairs across band buckets, hamming kept — it is a
+    # function of the pair, so any survivor row carries the same value
+    return shuffle_by(pairs, ["a", "b"], lambda g: g.drop_duplicates(["a", "b"])[["a", "b", "hamming"]])
 
 
 def synth_blob_image_bytes(doc_id: np.ndarray, n: int = 64) -> list[bytes]:

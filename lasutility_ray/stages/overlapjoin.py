@@ -59,7 +59,7 @@ def interval_overlap_join(
             )
             return pa.table(
                 {
-                    "__bucket": pa.array(b0[idx] + offs, pa.int64()),
+                    "__time_bucket": pa.array(b0[idx] + offs, pa.int64()),
                     "__side": pa.array(
                         np.full(len(idx), side, np.int8), pa.int8()
                     ),
@@ -72,7 +72,7 @@ def interval_overlap_join(
         return f
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(g["__bucket"].iloc[0])
+        bucket = int(g["__time_bucket"].iloc[0])
         left = g[g["__side"] == 0]
         right = g[g["__side"] == 1].sort_values("s", kind="mergesort")
         if len(left) == 0 or len(right) == 0:
@@ -113,6 +113,6 @@ def interval_overlap_join(
     tagged = a_ds.map_batches(rep(0), batch_format="pyarrow").union(
         b_ds.map_batches(rep(1), batch_format="pyarrow")
     )
-    return tagged.groupby("__bucket").map_groups(
+    return tagged.groupby("__time_bucket").map_groups(
         merge_bucket, batch_format="pandas"
     )

@@ -359,31 +359,12 @@ def _burn_linestring(bounds, raster, value, ls: LineString):
         )
 
 
-def burned_tiles(features_by_tile_ds, cell_size: float = 1.0, n_buckets: int = 32,
-                 class_maps: dict | None = None):
-    """One burned raster row per tile. The shuffle key is a coarse
-    deterministic hash bucket; the per-tile grouping runs inside each
-    bucket with a C-speed pandas groupby (per-tile map_groups pays
-    ~10 ms of python per group — at 10^5 tiles that is the stage)."""
-    import zlib
+def burned_tiles(features_by_tile_ds, cell_size: float = 1.0, class_maps: dict | None = None):
+    """One burned raster row per tile, through
+    ``cogroup.group_apply_bucketed`` (per-tile map_groups pays ~10 ms
+    of python per group — at 10^5 tiles that is the stage)."""
+    from .cogroup import group_apply_bucketed
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = np.fromiter(
-            (zlib.crc32(s.encode()) % n_buckets for s in t.column("tile_id").to_pylist()),
-            dtype=np.int64,
-            count=t.num_rows,
-        )
-        return t.append_column("bucket", pa.array(b))
-
-    def burn_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        outs = [
-            burn_tile(sub, cell_size, class_maps)
-            for _, sub in g.groupby("tile_id", sort=True)
-        ]
-        return pd.concat(outs, ignore_index=True)
-
-    return (
-        features_by_tile_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(burn_bucket, batch_format="pandas")
+    return group_apply_bucketed(
+        features_by_tile_ds, "tile_id", lambda sub: burn_tile(sub, cell_size, class_maps)
     )

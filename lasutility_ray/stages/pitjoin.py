@@ -31,9 +31,7 @@ def pit_version_join(events_ds, lookback_us: int = LOOKBACK_US):
     """events -> (event_id, user_id, version_asof, type_asof):
     the SCD2 version/type valid at (ts - lookback); NaN/None before
     the user's first version."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -49,7 +47,6 @@ def pit_version_join(events_ds, lookback_us: int = LOOKBACK_US):
                 "event_id": t.column("event_id"),
                 "__us": pa.array(us),
                 "event_type": t.column("event_type"),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
             }
         )
 
@@ -104,11 +101,7 @@ def pit_version_join(events_ds, lookback_us: int = LOOKBACK_US):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return shuffle_by(events_ds.map_batches(slim, batch_format="pyarrow"), "user_id", per_bucket)
 
 
 def pit_version_join_sql(

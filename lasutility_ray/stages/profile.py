@@ -24,9 +24,7 @@ import pyarrow as pa
 def profile_table(ds, cols: list[str]):
     """-> one row per column: (col, n_rows, n_null, n_distinct,
     min_v, max_v) with min/max rendered as strings."""
-    from .cogroup import default_n_buckets, lookup_join
-
-    nb = default_n_buckets()
+    from .cogroup import lookup_join, shuffle_by
 
     def partials(t: pa.Table) -> pa.Table:
         rows = []
@@ -54,8 +52,6 @@ def profile_table(ds, cols: list[str]):
             u = pd.unique(vals.to_pandas().map(_as_str))
             frames.append(pd.DataFrame({"col": c, "val": u}))
         df = pd.concat(frames, ignore_index=True)
-        h = pd.util.hash_array(df["val"].to_numpy(dtype=object))
-        df["__bucket"] = (h % np.uint64(nb)).astype(np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def uniq_count(g: pd.DataFrame) -> pd.DataFrame:
@@ -108,9 +104,7 @@ def profile_table(ds, cols: list[str]):
         .materialize()
     )
     nd = (
-        ds.map_batches(distincts, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq_count, batch_format="pandas")
+        shuffle_by(ds.map_batches(distincts, batch_format="pyarrow"), "val", uniq_count)
         .groupby("col")
         .sum("nd_part")
         .map_batches(

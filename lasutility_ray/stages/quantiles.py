@@ -48,18 +48,7 @@ def group_quantiles(ds, group_col: str, value_col: str, qs: dict[str, float]):
     if ((probs < 0) | (probs > 1)).any():
         raise ValueError("quantile probabilities must be in [0, 1]")
 
-    from .cogroup import _bucket_of, _is_str_key, _str_bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.select([group_col, value_col])
-        col = t.column(group_col)
-        if _is_str_key(col.type):
-            b = _str_bucket_of(col, n_buckets)
-        else:
-            b = _bucket_of(col.to_numpy(zero_copy_only=False), n_buckets)
-        return t.append_column("__b", pa.array(b))
+    from .cogroup import shuffle_by
 
     # shuffle on a coarse group-hash bucket (all values of a group
     # still co-locate — exactness is preserved); per-group quantiles
@@ -90,11 +79,8 @@ def group_quantiles(ds, group_col: str, value_col: str, qs: dict[str, float]):
         out.update(qcols)
         return pd.DataFrame(out)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    slim = ds.map_batches(lambda t: t.select([group_col, value_col]), batch_format="pyarrow")
+    return shuffle_by(slim, group_col, per_bucket)
 
 
 def group_quantiles_hist(

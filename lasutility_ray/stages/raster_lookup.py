@@ -53,25 +53,7 @@ def raster_value_lookup(points_ds, tiles_ds, cell_size: float = 1.0):
             }
         )
 
-    import zlib
-
-    N_BUCKETS = 32
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = np.fromiter(
-            (zlib.crc32(s.encode()) % N_BUCKETS for s in t.column("tile_id").to_pylist()),
-            dtype=np.int64,
-            count=t.num_rows,
-        )
-        return t.append_column("bucket", pa.array(b))
-
-    pts = points_ds.map_batches(tag_points, batch_format="pyarrow").map_batches(
-        add_bucket, batch_format="pyarrow"
-    )
-    tls = tiles_ds.map_batches(tag_tiles, batch_format="pyarrow").map_batches(
-        add_bucket, batch_format="pyarrow"
-    )
-    both = pts.union(tls)
+    from .cogroup import group_apply_bucketed
 
     def per_tile(g: pd.DataFrame) -> pd.DataFrame:
         q = g[g["role"] == 0]
@@ -108,13 +90,9 @@ def raster_value_lookup(points_ds, tiles_ds, cell_size: float = 1.0):
             }
         )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # coarse shuffle key + C-speed per-tile grouping inside the
-        # bucket (one python call per bucket, not per tile)
-        outs = [per_tile(sub) for _, sub in g.groupby("tile_id", sort=True)]
-        outs = [o for o in outs if len(o)]
-        if not outs:
-            return per_tile(g.iloc[0:0])
-        return pd.concat(outs, ignore_index=True)
-
-    return both.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return group_apply_bucketed(
+        [points_ds.map_batches(tag_points, batch_format="pyarrow"),
+         tiles_ds.map_batches(tag_tiles, batch_format="pyarrow")],
+        "tile_id",
+        per_tile,
+    )

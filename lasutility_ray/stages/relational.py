@@ -199,7 +199,7 @@ def tpch_q3(sf_dir: str, segment: str = "BUILDING", cutoff: str = "1998-06-01", 
     # qualifying-orders side fits (round-5 rewrite). The original
     # shape joined every line item and ran a 3-key groupby after —
     # Ray 2.49's multi-column aggregate is the known expensive
-    # exchange (the _dedup_pairs lesson; measured 15.3 s on 310k
+    # exchange (measured 15.3 s on 310k
     # joined rows at the 10x corpus), the single-key replacement
     # still paid ~10 s of sort-shuffle on 2.9M partial rows, and
     # even a 64-bucket coarse groupby cost 5.5 s of fixed exchange
@@ -500,22 +500,14 @@ def mode_per_group(ds, key_col: str, value_col: str):
     """
     import pandas as pd
 
-    from .cogroup import _str_bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        c = (
+        return (
             df.groupby([key_col, value_col], sort=False, observed=True)
             .size()
             .reset_index(name="__c")
         )
-        c["__b"] = _str_bucket_of(
-            pa.array(c[key_col].astype(str)), n_buckets
-        ) if c[key_col].dtype == object else (
-            c[key_col].to_numpy(np.int64) % np.int64(n_buckets)
-        )
-        return c
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         full = (
@@ -537,12 +529,10 @@ def mode_per_group(ds, key_col: str, value_col: str):
             }
         )
 
-    return (
-        ds.select_columns([key_col, value_col])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
+    partials = ds.select_columns([key_col, value_col]).map_batches(
+        partial, batch_format="pandas"
     )
+    return shuffle_by(partials, key_col, per_bucket)
 
 
 def mode_per_group_sql(key_col: str, value_col: str, source: str) -> str:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
+
+from .windowfn import _by_user
 
 US_PER_HOUR = 3_600_000_000
 
@@ -35,30 +36,6 @@ US_PER_HOUR = 3_600_000_000
 def resample_locf(events_ds):
     """events -> (user_id, hr, cents_locf): hourly LOCF grid per user
     between the user's first and last event hours (inclusive)."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
-    def slim(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        us = (
-            t.column("ts")
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        cents = np.round(
-            t.column("value").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "user_id": pa.array(uid),
-                "event_id": t.column("event_id"),
-                "__us": pa.array(us),
-                "__cents": pa.array(cents),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
-            }
-        )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "__us", "event_id"], kind="stable")
@@ -100,11 +77,7 @@ def resample_locf(events_ds):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return _by_user(events_ds, per_bucket)
 
 
 SHIFT = 1 << 40  # positivity shift: DuckDB // truncates, numpy floors
@@ -121,30 +94,6 @@ def resample_linear(events_ds):
     ``(dv*(t-t0) + SHIFT*dt) // dt - SHIFT`` so the dividend is
     positive and floor == truncate in both engines.
     """
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
-    def slim(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        us = (
-            t.column("ts")
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        cents = np.round(
-            t.column("value").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "user_id": pa.array(uid),
-                "event_id": t.column("event_id"),
-                "__us": pa.array(us),
-                "__cents": pa.array(cents),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
-            }
-        )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "__us", "event_id"], kind="stable")
@@ -195,11 +144,7 @@ def resample_linear(events_ds):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return _by_user(events_ds, per_bucket)
 
 
 def resample_linear_sql(source: str = "events") -> str:

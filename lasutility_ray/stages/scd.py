@@ -32,9 +32,7 @@ import pyarrow as pa
 def scd2_intervals(events_ds):
     """events -> (user_id, version, event_type, valid_from_us,
     valid_to_us, n_events), one row per constant-type run per user."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -50,7 +48,6 @@ def scd2_intervals(events_ds):
                 "event_id": t.column("event_id"),
                 "__us": pa.array(us),
                 "event_type": t.column("event_type"),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
             }
         )
 
@@ -99,11 +96,7 @@ def scd2_intervals(events_ds):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return shuffle_by(events_ds.map_batches(slim, batch_format="pyarrow"), "user_id", per_bucket)
 
 
 def scd2_sql(source: str = "events") -> str:
@@ -139,10 +132,7 @@ def merge_upsert(base_ds, delta_ds, key_col: str, version_col: str,
     key; the per-bucket winner scan is a vectorized sort + first.
     Output: the merged snapshot (base schema, no op/version columns
     beyond ``version_col``)."""
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-    mix = np.uint64(0x9E3779B97F4A7C15)
+    from .cogroup import shuffle_by
 
     def tag(side: int):
         def f(t: pa.Table) -> pa.Table:
@@ -158,12 +148,8 @@ def merge_upsert(base_ds, delta_ds, key_col: str, version_col: str,
                 )
             if op_col in t.column_names:
                 t = t.drop_columns([op_col])
-            k = t.column(key_col).to_numpy().astype(np.uint64)
             return t.append_column(
                 "__side", pa.array(np.full(t.num_rows, side, np.int8), pa.int8())
-            ).append_column(
-                "__bucket",
-                pa.array((((k * mix) >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
             )
 
         return f
@@ -176,9 +162,11 @@ def merge_upsert(base_ds, delta_ds, key_col: str, version_col: str,
         )
         w = g.drop_duplicates(key_col, keep="first")
         w = w[w["__op"] != "D"]
-        return w.drop(columns=["__op", "__side", "__bucket"])
+        return w.drop(columns=["__op", "__side"])
 
-    tagged = base_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        delta_ds.map_batches(tag(1), batch_format="pyarrow")
+    return shuffle_by(
+        [base_ds.map_batches(tag(0), batch_format="pyarrow"),
+         delta_ds.map_batches(tag(1), batch_format="pyarrow")],
+        key_col,
+        winner,
     )
-    return tagged.groupby("__bucket").map_groups(winner, batch_format="pandas")

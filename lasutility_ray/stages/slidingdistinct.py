@@ -34,14 +34,10 @@ WINDOW_HOURS = 24
 def sliding_distinct_users(events_ds, window_hours: int = WINDOW_HOURS):
     """events -> (hr, n_users): users active in the trailing
     ``window_hours`` ending at each corpus hour. Distincts run through
-    the coarse-bucket drop_duplicates shape (Ray 2.49's multi-key
-    aggregate carries ~10 s fixed overhead per call — the
-    ``_dedup_pairs`` lesson; two of them made the first cut of this
-    op 10x slower than the shuffles justify)."""
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-    MIX = np.uint64(0x9E3779B97F4A7C15)
+    ``cogroup.shuffle_by`` + drop_duplicates (Ray 2.49's multi-key
+    aggregate carries ~10 s fixed overhead per call; two of them made
+    the first cut of this op 10x slower than the shuffles justify)."""
+    from .cogroup import distinct_rows, shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -55,32 +51,10 @@ def sliding_distinct_users(events_ds, window_hours: int = WINDOW_HOURS):
         df = pd.DataFrame({"user_id": uid, "hr": hr}).drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    def tag(key_col: str):
-        def f(t: pa.Table) -> pa.Table:
-            u = t.column("user_id").to_numpy().astype(np.uint64)
-            k = t.column(key_col).to_numpy().astype(np.uint64)
-            h = (u * MIX) ^ k
-            return t.append_column(
-                "__bucket",
-                pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-            )
-
-        return f
-
-    def uniq(cols):
-        def f(g: pd.DataFrame) -> pd.DataFrame:
-            return g.drop_duplicates(cols)[cols]
-
-        return f
-
     # bounded distinct (user, hr) table + the corpus hour bound
-    act = (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .map_batches(tag("hr"), batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(uniq(["user_id", "hr"]), batch_format="pandas")
-        .materialize()
-    )
+    act = distinct_rows(
+        events_ds.map_batches(slim, batch_format="pyarrow"), ["user_id", "hr"]
+    ).materialize()
     hmax = int(act.max("hr"))
 
     def expand(t: pa.Table) -> pa.Table:
@@ -100,20 +74,7 @@ def sliding_distinct_users(events_ds, window_hours: int = WINDOW_HOURS):
 
     # bucket by win ONLY: the second distinct and the per-window count
     # then share one shuffle (each window fully inside one bucket)
-    def tag_win(t: pa.Table) -> pa.Table:
-        w = t.column("win").to_numpy().astype(np.uint64)
-        h = w * MIX
-        return t.append_column(
-            "__bucket",
-            pa.array(((h >> np.uint64(33)) % np.uint64(nb)).astype(np.int64)),
-        )
-
-    return (
-        act.map_batches(expand, batch_format="pyarrow")
-        .map_batches(tag_win, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(count_wins, batch_format="pandas")
-    )
+    return shuffle_by(act.map_batches(expand, batch_format="pyarrow"), "win", count_wins)
 
 
 def sliding_distinct_sql(
@@ -147,7 +108,7 @@ def sliding_window_median(events_ds, window_hours: int = WINDOW_HOURS):
     import pandas as pd
     from ray.data.aggregate import Max
 
-    from .cogroup import default_n_buckets
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         hr = (
@@ -166,7 +127,6 @@ def sliding_window_median(events_ds, window_hours: int = WINDOW_HOURS):
 
     slim_ds = events_ds.map_batches(slim, batch_format="pyarrow").materialize()
     hmax = int(slim_ds.max("hr"))
-    nb = default_n_buckets()
 
     def expand(t: pa.Table) -> pa.Table:
         hr = t.column("hr").to_numpy()
@@ -180,7 +140,6 @@ def sliding_window_median(events_ds, window_hours: int = WINDOW_HOURS):
             {
                 "win": pa.array(win, pa.int64()),
                 "value": pa.array(vv, pa.float64()),
-                "__bucket": pa.array(win % nb, pa.int64()),
             }
         )
 
@@ -192,11 +151,7 @@ def sliding_window_median(events_ds, window_hours: int = WINDOW_HOURS):
         )
         return out.rename(columns={"win": "hr"})
 
-    return (
-        slim_ds.map_batches(expand, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(med, batch_format="pandas")
-    )
+    return shuffle_by(slim_ds.map_batches(expand, batch_format="pyarrow"), "win", med)
 
 
 def sliding_median_sql(

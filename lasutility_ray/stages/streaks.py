@@ -31,9 +31,7 @@ US_PER_DAY = 86_400_000_000
 def longest_streaks(events_ds):
     """events -> (user_id, max_streak_days, streak_start_day,
     n_active_days), one row per user with >= 1 event."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -53,7 +51,6 @@ def longest_streaks(events_ds):
             {
                 "user_id": pa.array(key[:, 0]),
                 "day": pa.array(key[:, 1]),
-                "__b": pa.array(_bucket_of(key[:, 0], n_buckets)),
             }
         )
 
@@ -95,11 +92,7 @@ def longest_streaks(events_ds):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return shuffle_by(events_ds.map_batches(slim, batch_format="pyarrow"), "user_id", per_bucket)
 
 
 def longest_streaks_sql(source: str = "events") -> str:

@@ -4,14 +4,13 @@ The reference engine has no temporal joins (SURVEY.md §2.4 — its
 joins are spatial); a web-scale event pipeline needs both shapes
 (attribution: "latest click before each purchase", windowed
 correlation: "clicks within N hours of a purchase"). Both are
-implemented with the engine's established coarse-bucket co-group
-shape (``cogroup.py`` / ``pip_join.py``):
+implemented as a two-sided ``cogroup.shuffle_by``:
 
 1. both sides map into one wide union schema (absent columns null)
-   with ``__bucket = hash(key) % n_buckets`` and a ``__side`` tag;
-2. ONE ``groupby(__bucket)`` co-groups them — the shuffle moves each
-   side exactly once, partitioned by the EQUALITY key (never by
-   time, so no window replication is needed);
+   with an int64 ``__key`` and a ``__side`` tag;
+2. ONE coarse-bucket shuffle on ``__key`` co-groups them — the shuffle
+   moves each side exactly once, partitioned by the EQUALITY key
+   (never by time, so no window replication is needed);
 3. inside a bucket the join is C-speed: ``pandas.merge_asof`` (by
    key, on time) for as-of, per-key ``np.searchsorted`` interval
    expansion for range.
@@ -33,7 +32,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from lasutility_ray.stages.cogroup import _arrow_schema, _bucket_of, default_n_buckets
+from lasutility_ray.stages.cogroup import _arrow_schema, shuffle_by
 
 _US = "us"
 
@@ -55,7 +54,6 @@ def _tag(
     ls: pa.Schema,
     rcols: list[str],
     rs: pa.Schema,
-    n_buckets: int,
 ) -> pa.Table:
     """Map one side into the union schema — column order is canonical
     (``__l_*`` then ``__r_*``) on BOTH sides so the union's blocks
@@ -71,7 +69,6 @@ def _tag(
     cols["__key"] = pa.array(key, pa.int64())
     cols["__ts"] = pa.array(_ts_to_us(t.column(ts_col)), pa.int64())
     cols["__side"] = pa.array(np.full(len(t), side, dtype=np.int8))
-    cols["__bucket"] = pa.array(_bucket_of(key, n_buckets))
     return pa.table(cols)
 
 
@@ -87,23 +84,21 @@ def _restore_ints(df: pd.DataFrame, names: list[str], prefix: str, schema: pa.Sc
     return df.rename(columns=rename)
 
 
-def _cogroup(left_ds, right_ds, on, left_ts, right_ts, attach, n_buckets,
+def _cogroup(left_ds, right_ds, on, left_ts, right_ts, attach,
              type_overrides, merge_bucket):
-    """Shared tag-union-groupby scaffolding for both temporal joins."""
-    n_buckets = n_buckets or default_n_buckets()
+    """Shared tag-and-co-group scaffolding for both temporal joins."""
     ls = _arrow_schema(left_ds, type_overrides)
     rs = _arrow_schema(right_ds, type_overrides)
     lcols = list(ls.names)
     rcols = [c for c in attach]
     lt = left_ds.map_batches(
-        lambda t: _tag(t, 0, on[0], left_ts, lcols, ls, rcols, rs, n_buckets),
+        lambda t: _tag(t, 0, on[0], left_ts, lcols, ls, rcols, rs),
         batch_format="pyarrow",
     )
     rt = right_ds.map_batches(
-        lambda t: _tag(t, 1, on[1], right_ts, lcols, ls, rcols, rs, n_buckets),
+        lambda t: _tag(t, 1, on[1], right_ts, lcols, ls, rcols, rs),
         batch_format="pyarrow",
     )
-    both = lt.union(rt)
     out_names = ["__l_" + c for c in lcols] + ["__r_" + c for c in rcols]
     rename = {**{"__l_" + c: c for c in lcols},
               **{"__r_" + c: attach[c] for c in rcols}}
@@ -115,7 +110,7 @@ def _cogroup(left_ds, right_ds, on, left_ts, right_ts, attach, n_buckets,
         out = _restore_ints(out, rcols, "__r_", rs, rename)
         return out
 
-    return both.groupby("__bucket").map_groups(run, batch_format="pandas")
+    return shuffle_by([lt, rt], "__key", run)
 
 
 def asof_join(
@@ -125,7 +120,6 @@ def asof_join(
     left_ts: str,
     right_ts: str,
     attach: dict[str, str],
-    n_buckets: int | None = None,
     type_overrides: dict | None = None,
     direction: str = "backward",
 ):
@@ -170,7 +164,7 @@ def asof_join(
         return out[out["__m"].notna()]
 
     return _cogroup(left_ds, right_ds, on, left_ts, right_ts, attach,
-                    n_buckets, type_overrides, merge_bucket)
+                    type_overrides, merge_bucket)
 
 
 def range_join(
@@ -182,7 +176,6 @@ def range_join(
     lo_us: int,
     hi_us: int,
     attach: dict[str, str],
-    n_buckets: int | None = None,
     type_overrides: dict | None = None,
 ):
     """Banded interval join: every (left, right) pair with the same
@@ -241,7 +234,7 @@ def range_join(
         return pd.concat([lpart, rpart], axis=1)
 
     return _cogroup(left_ds, right_ds, on, left_ts, right_ts, attach,
-                    n_buckets, type_overrides, merge_bucket)
+                    type_overrides, merge_bucket)
 
 
 def merge_intervals(events_ds, dur_mod: int = 300, dur_base: int = 30):
@@ -260,9 +253,6 @@ def merge_intervals(events_ds, dur_mod: int = 300, dur_base: int = 30):
     ``start > cummax(previous ends)`` (touching intervals merge,
     half-open semantics). Integer epoch-microseconds throughout.
     """
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
     dur_mod = int(dur_mod)
     dur_base = int(dur_base)
 
@@ -276,7 +266,6 @@ def merge_intervals(events_ds, dur_mod: int = 300, dur_base: int = 30):
                 "user_id": pa.array(uid),
                 "__s": pa.array(s),
                 "__e": pa.array(e),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
             }
         )
 
@@ -306,11 +295,7 @@ def merge_intervals(events_ds, dur_mod: int = 300, dur_base: int = 30):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return shuffle_by(events_ds.map_batches(slim, batch_format="pyarrow"), "user_id", per_bucket)
 
 
 def merge_intervals_sql(

@@ -36,9 +36,8 @@ def vocab_overlap(docs_ds, text_col: str = "text", group_col: str = "source"):
     (src_a, src_b, n_inter, n_union, jaccard_e6), src_a < src_b."""
     from ray.data.aggregate import Count, Sum
 
-    from .cogroup import default_n_buckets
+    from .cogroup import shuffle_by
 
-    n_buckets = default_n_buckets()
     pat = re.compile(TOKEN_RE)
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
@@ -79,12 +78,6 @@ def vocab_overlap(docs_ds, text_col: str = "text", group_col: str = "source"):
         .take_all()
     }
 
-    from .cogroup import _str_bucket_of
-
-    def bucket(t: pa.Table) -> pa.Table:
-        b = _str_bucket_of(t.column("token"), n_buckets)
-        return t.append_column("__b", pa.array(b))
-
     def inter_partial(g: pd.DataFrame) -> pd.DataFrame:
         from .dedup import _pair_indices
 
@@ -111,9 +104,7 @@ def vocab_overlap(docs_ds, text_col: str = "text", group_col: str = "source"):
         return out
 
     inter = (
-        distinct.map_batches(bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(inter_partial, batch_format="pandas")
+        shuffle_by(distinct, "token", inter_partial)
         .groupby(["src_a", "src_b"])
         .aggregate(Sum("c", alias_name="n_inter"))
         .to_pandas()

@@ -19,33 +19,10 @@ pins a deterministic rule and the oracle mirrors it).
 
 from __future__ import annotations
 
-import zlib
-
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ray.data.aggregate import Count, Max, Sum
-
-N_CELL_BUCKETS = 64
-
-
-def _cell_bucket(
-    tile_ids: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int = N_CELL_BUCKETS
-) -> np.ndarray:
-    """Coarse deterministic shuffle bucket for a (tile_id, row, col)
-    cell key. Grouping by the cell itself creates one ~1-row python
-    group per cell (millions at scale); grouping by this bucket keeps
-    the shuffle key space fixed and the fine grouping runs inside the
-    bucket at C speed (the pip_join.py:379 pattern)."""
-    uniq, inv = np.unique(tile_ids, return_inverse=True)
-    codes = np.array([zlib.crc32(s.encode()) for s in uniq], dtype=np.uint64)
-    h = (
-        codes[inv] * np.uint64(0x9E3779B97F4A7C15)
-        + rows.astype(np.uint64) * np.uint64(8191)
-        + cols.astype(np.uint64)
-    )
-    return ((h * np.uint64(2654435761)) >> np.uint64(33)) % np.uint64(n)
 
 
 def _partial_ground_max(batch: pa.Table) -> pa.Table:
@@ -97,38 +74,20 @@ def _partial_top1(lo: int, hi: int):
     return fn
 
 
-def _add_cell_bucket(t: pa.Table, n: int | None = None) -> pa.Table:
-    if n is None:
-        from .cogroup import default_n_buckets
-
-        n = default_n_buckets(N_CELL_BUCKETS)
-    b = _cell_bucket(
-        t.column("tile_id").to_numpy(zero_copy_only=False),
-        t.column("row").to_numpy(),
-        t.column("col").to_numpy(),
-        n,
-    )
-    return t.append_column("bucket", pa.array(b.astype(np.int64)))
-
-
 def cell_top1_in_class_range(points_ds, lo: int, hi: int):
     """Top-1 point per cell within a classification range — the
     grouped-table equivalent of GetHighestPointInClassRange applied
     to every cell. Partial top-1 per batch, then a coarse-bucket
     shuffle whose final head(1) runs per bucket at C speed (never one
     python group per cell)."""
+    from .cogroup import shuffle_by
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["z", "doc_id"], ascending=[False, True], kind="stable")
-        out = g.groupby(["tile_id", "row", "col"], sort=False).head(1)
-        return out.drop(columns=["bucket"])
+        return g.groupby(["tile_id", "row", "col"], sort=False).head(1)
 
     partial = points_ds.map_batches(_partial_top1(lo, hi), batch_format="pyarrow")
-    return (
-        partial.map_batches(_add_cell_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(final, batch_format="pandas")
-    )
+    return shuffle_by(partial, ["tile_id", "row", "col"], final)
 
 
 def cell_bins(points_ds):
@@ -140,6 +99,7 @@ def cell_bins(points_ds):
     (``Bin.cs:27-39``; tie rule pinned because C# List.Sort is
     unstable, SURVEY.md §7.5). Fully SQL-checkable via
     ``row_number()``."""
+    from .cogroup import shuffle_by
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -154,14 +114,12 @@ def cell_bins(points_ds):
 
     def project(t: pa.Table) -> pa.Table:
         keep = ~t.column("is_ground").to_numpy(zero_copy_only=False)
-        return _add_cell_bucket(
-            t.select(
-                ["tile_id", "row", "col", "z", "classification", "doc_id"]
-            ).filter(pa.array(keep))
-        )
+        return t.select(
+            ["tile_id", "row", "col", "z", "classification", "doc_id"]
+        ).filter(pa.array(keep))
 
     ng = points_ds.map_batches(project, batch_format="pyarrow")
-    return ng.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return shuffle_by(ng, ["tile_id", "row", "col"], per_bucket)
 
 
 def tile_counts(points_ds):

@@ -148,9 +148,7 @@ def _watershed_distributed(cell_max):
     (cell, tgt) int64-key rows — the unbounded-cell-space shape."""
     import ray.data as rd
 
-    from .cogroup import default_n_buckets, lookup_join, one_task
-
-    nb = default_n_buckets()
+    from .cogroup import capped_n_buckets, lookup_join, one_task
 
     def edges(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -167,19 +165,17 @@ def _watershed_distributed(cell_max):
     # exchange would localize it, but the cell table is bounded here —
     # build edges in one task, then run the DOUBLING distributed (the
     # doubling is the corpus-scale part: rounds of equi-joins)
-    succ = (
-        rd.from_arrow(one_task(edges, cell_max))
-        .repartition(max(nb // 4, 1))
-        .materialize()
-    )
-    n = succ.count()
+    succ_t = one_task(edges, cell_max)
+    n = succ_t.num_rows
+    n_blocks = capped_n_buckets(n)
+    succ = rd.from_arrow(succ_t).repartition(n_blocks).materialize()
     rounds = max(1, int(np.ceil(np.log2(max(n, 2)))))
     for _ in range(rounds):
         succ = (
             lookup_join(succ, succ, "tgt", "cell", {"tgt": "tgt2"})
             .drop_columns(["tgt"])
             .rename_columns({"tgt2": "tgt"})
-            .repartition(max(nb // 4, 1))
+            .repartition(n_blocks)
             .materialize()
         )
 

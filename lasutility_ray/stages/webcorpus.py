@@ -83,27 +83,12 @@ def host_stats(pages_ds):
     timestamp (epoch ms). Map-side partials combine per batch before
     ONE host-keyed shuffle, so exchange volume is hosts x batches
     rows, never pages."""
-    from .cogroup import _str_bucket_of, default_n_buckets
+    from .cogroup import shuffle_by
 
-    n_buckets = default_n_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__b", pa.array(_str_bucket_of(t.column("host"), n_buckets))
-        )
-
-    def final_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # _host_final already reduces per host internally — the
-        # shuffle key is a coarse host-hash bucket so millions of
-        # hosts never become millions of python groups
-        return _host_final(g.drop(columns=["__b"]))
-
+    # _host_final reduces per host internally, so millions of hosts
+    # never become millions of python groups
     partials = pages_ds.map_batches(_host_partial, batch_format="pyarrow")
-    return (
-        partials.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(final_bucket, batch_format="pandas")
-    )
+    return shuffle_by(partials, "host", _host_final)
 
 
 # ---------------------------------------------------------- domain mix
@@ -456,11 +441,7 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
     salting the join needed. Two slim exchanges total (winner bucket
     + doc-reassembly bucket); text lines move once each way, never
     whole documents."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    # fixed once on the driver: both exchanges use it, and a batch fn
-    # must not ask the cluster for its size on every call
-    n_buckets = default_n_buckets()
+    from .cogroup import shuffle_by
 
     def explode_combine(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -485,18 +466,12 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
         # rows never reach the exchange)
         if len(df):
             df = df.loc[df.groupby("line", sort=False)["packed"].idxmin()]
-        # deterministic line-hash bucket (co-location only — which
-        # bucket a line lands in never affects the result)
-        h = pd.util.hash_pandas_object(df["line"], index=False).to_numpy()
         return pa.table(
             {
                 id_col: pa.array(df[id_col].to_numpy(), pa.int64()),
                 "li": pa.array(df["li"].to_numpy(), pa.int64()),
                 "line": pa.array(df["line"].to_numpy(), pa.string()),
                 "packed": pa.array(df["packed"].to_numpy(), pa.int64()),
-                "__wb": pa.array(
-                    (h % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-                ),
             }
         )
 
@@ -504,19 +479,12 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
         w = g.loc[g.groupby("line", sort=False)["packed"].idxmin()]
         return w[[id_col, "li", "line"]]
 
-    kept = (
-        docs_ds.map_batches(explode_combine, batch_format="pyarrow")
-        .groupby("__wb")
-        .map_groups(bucket_winner, batch_format="pandas")
+    kept = shuffle_by(
+        docs_ds.map_batches(explode_combine, batch_format="pyarrow"), "line", bucket_winner
     )
 
-    # reassembly shuffles on a coarse doc-hash bucket (one python group
-    # per BUCKET, C-speed inner groupby) — a per-doc map_groups would
-    # make millions of 1-row python groups at corpus scale
-    def add_bucket(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy()
-        return t.append_column("__b", pa.array(_bucket_of(ids, n_buckets)))
-
+    # reassembly shuffles on the doc id (C-speed inner groupby) — a
+    # per-doc map_groups would make millions of 1-row python groups
     def rebuild_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "li"], kind="stable")
         s = g.groupby(id_col, sort=True)["line"].agg("\n".join)
@@ -524,11 +492,7 @@ def line_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
             {id_col: s.index.to_numpy(), text_col: s.to_numpy()}
         )
 
-    return (
-        kept.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(rebuild_bucket, batch_format="pandas")
-    )
+    return shuffle_by(kept, id_col, rebuild_bucket)
 
 
 def substring_dedup(
@@ -551,7 +515,7 @@ def substring_dedup(
     therefore a GUARANTEED cut — decidable map-side with no global
     information (some other occurrence of the same hash precedes it).
     Only each batch's local winner (plus its local occurrence count)
-    shuffles, ONCE, on an md5-derived bucket; the in-bucket pandas
+    shuffles, ONCE, on its window hash; the in-bucket pandas
     pass computes the global count and min and emits the remaining
     cut rows directly. No string-keyed Ray groupby, no join back, and
     hot boilerplate windows pre-shrink to <= one row per input batch.
@@ -563,12 +527,11 @@ def substring_dedup(
     through intact (canonical whitespace only)."""
     import hashlib
 
-    from .cogroup import _bucket_of, default_n_buckets
+    from .cogroup import shuffle_by
 
     if window < 2:
         raise ValueError("window must be >= 2 tokens")
 
-    nb_w = default_n_buckets()
     arange_w = np.arange(window)
 
     def _expand_cuts(ids: np.ndarray, pos: np.ndarray) -> pa.Table:
@@ -585,7 +548,7 @@ def substring_dedup(
         counts = toks.map(len).to_numpy(dtype=np.int64)
         if (counts >= (1 << LINE_IDX_BITS)).any():
             raise ValueError(f"doc exceeds {1 << LINE_IDX_BITS} tokens")
-        d_out, p_out, h_out, b_out = [], [], [], []
+        d_out, p_out, h_out = [], [], []
         for did, ws in zip(ids, toks):
             n = len(ws)
             for pos in range(n - window + 1):
@@ -593,7 +556,6 @@ def substring_dedup(
                 d_out.append(did)
                 p_out.append(pos)
                 h_out.append(dig.hexdigest())
-                b_out.append(int.from_bytes(dig.digest()[:8], "big") % nb_w)
         d = np.array(d_out, np.int64) if d_out else np.empty(0, np.int64)
         p = np.array(p_out, np.int64) if p_out else np.empty(0, np.int64)
         df = pd.DataFrame(
@@ -602,9 +564,6 @@ def substring_dedup(
                 "pos": p,
                 "whash": np.array(h_out, object),
                 "packed": (d << LINE_IDX_BITS) | p,
-                "__wb": np.array(b_out, np.int64)
-                if b_out
-                else np.empty(0, np.int64),
             }
         )
         if not len(df):
@@ -615,7 +574,6 @@ def substring_dedup(
                     "whash": pa.array([], pa.string()),
                     "packed": pa.array([], pa.int64()),
                     "lcnt": pa.array([], pa.int64()),
-                    "__wb": pa.array([], pa.int64()),
                     "is_loser_cut": pa.array([], pa.bool_()),
                 }
             )
@@ -629,7 +587,7 @@ def substring_dedup(
         # (with their local counts) need the exchange
         return pa.Table.from_pandas(
             out[
-                [id_col, "pos", "whash", "packed", "lcnt", "__wb", "is_loser_cut"]
+                [id_col, "pos", "whash", "packed", "lcnt", "is_loser_cut"]
             ],
             preserve_index=False,
         )
@@ -650,7 +608,7 @@ def substring_dedup(
     def winner_rows(t: pa.Table) -> pa.Table:
         m = ~t.column("is_loser_cut").to_numpy(zero_copy_only=False)
         return t.filter(pa.array(m)).select(
-            [id_col, "pos", "whash", "packed", "lcnt", "__wb"]
+            [id_col, "pos", "whash", "packed", "lcnt"]
         )
 
     def bucket_cuts(g: pd.DataFrame) -> pd.DataFrame:
@@ -662,19 +620,15 @@ def substring_dedup(
         return t.to_pandas()
 
     cuts = ex.map_batches(local_loser_cuts, batch_format="pyarrow").union(
-        ex.map_batches(winner_rows, batch_format="pyarrow")
-        .groupby("__wb")
-        .map_groups(bucket_cuts, batch_format="pandas")
+        shuffle_by(ex.map_batches(winner_rows, batch_format="pyarrow"), "whash", bucket_cuts)
     )
 
     # ONE bucketed cogroup rebuilds everything: doc rows (side 0,
     # carrying text) and raw cut rows (side 1) shuffle together on a
-    # coarse doc-hash bucket; each bucket builds its cut sets and
-    # rebuilds its docs in pandas. This replaces the earlier
-    # collect-cuts groupby + two doc-level lookup_joins (three
-    # all-to-all exchanges) with a single one.
-    n_buckets = default_n_buckets()
-
+    # the doc id; each bucket builds its cut sets and rebuilds its
+    # docs in pandas. This replaces the earlier collect-cuts groupby +
+    # two doc-level lookup_joins (three all-to-all exchanges) with a
+    # single one.
     def tag_docs(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
         return pa.table(
@@ -682,7 +636,6 @@ def substring_dedup(
                 id_col: t.column(id_col),
                 "text": t.column(text_col),
                 "cut": pa.array(np.full(len(ids), -1, np.int64)),
-                "__b": pa.array(_bucket_of(ids, n_buckets)),
             }
         )
 
@@ -693,7 +646,6 @@ def substring_dedup(
                 id_col: t.column(id_col),
                 "text": pa.array([""] * len(ids), pa.string()),
                 "cut": t.column("cut"),
-                "__b": pa.array(_bucket_of(ids, n_buckets)),
             }
         )
 
@@ -726,11 +678,11 @@ def substring_dedup(
             }
         )
 
-    return (
-        slim_docs.map_batches(tag_docs, batch_format="pyarrow")
-        .union(cuts.map_batches(tag_cuts, batch_format="pyarrow"))
-        .groupby("__b")
-        .map_groups(rebuild_bucket, batch_format="pandas")
+    return shuffle_by(
+        [slim_docs.map_batches(tag_docs, batch_format="pyarrow"),
+         cuts.map_batches(tag_cuts, batch_format="pyarrow")],
+        id_col,
+        rebuild_bucket,
     )
 
 
@@ -833,17 +785,7 @@ def trending_hosts(pages_ds, horizon: int = TREND_HORIZON_DAYS):
     slim_ds = pages_ds.map_batches(slim, batch_format="pyarrow").materialize()
     max_day = int(slim_ds.max("day"))
 
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
-
-    def tag(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            np.asarray(t.column("host").to_numpy(zero_copy_only=False), dtype=object)
-        )
-        return t.append_column(
-            "__bucket", pa.array((h % np.uint64(nb)).astype(np.int64))
-        )
+    from .cogroup import shuffle_by
 
     def score(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (
@@ -857,11 +799,7 @@ def trending_hosts(pages_ds, horizon: int = TREND_HORIZON_DAYS):
         out = cnt.groupby("host", sort=False)["part"].sum().reset_index()
         return out.rename(columns={"part": "score_scaled"})
 
-    return (
-        slim_ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(score, batch_format="pandas")
-    )
+    return shuffle_by(slim_ds, "host", score)
 
 
 def trending_hosts_sql(horizon: int = TREND_HORIZON_DAYS) -> str:

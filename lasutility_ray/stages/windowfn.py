@@ -2,10 +2,10 @@
 
 Ray Data has no SQL window functions; ``partitioned_window`` computes
 the classic per-key ordered quartet — ``row_number``, ``lag``,
-running ``SUM`` and the partition ``COUNT`` — with the engine's
-established coarse-bucket shuffle shape (see ``events.sessionize``):
-one shuffle on ``hash(user_id) % n_buckets`` co-locates every row of
-a user, then ONE vectorized numpy scan per bucket computes all four
+running ``SUM`` and the partition ``COUNT`` — with
+``cogroup.shuffle_by``: one shuffle on a hash bucket of ``user_id``
+co-locates every row of a user, then ONE vectorized numpy scan per
+bucket computes all four
 functions for every user in the bucket at once (segment-boundary
 arithmetic — no per-user python groups, no per-row loop).
 
@@ -27,6 +27,35 @@ import pandas as pd
 import pyarrow as pa
 
 
+def _slim(t: pa.Table) -> pa.Table:
+    uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    us = (
+        t.column("ts")
+        .to_numpy(zero_copy_only=False)
+        .astype("datetime64[us]")
+        .astype(np.int64)
+    )
+    cents = np.round(
+        t.column("value").to_numpy(zero_copy_only=False) * 100.0
+    ).astype(np.int64)
+    return pa.table(
+        {
+            "event_id": t.column("event_id"),
+            "user_id": pa.array(uid),
+            "__us": pa.array(us),
+            "__cents": pa.array(cents),
+        }
+    )
+
+
+def _by_user(events_ds, per_bucket):
+    """Slim (event, user, us, cents) rows, shuffled so each user's
+    rows meet in one ``per_bucket`` call (also ``resample``'s input)."""
+    from .cogroup import shuffle_by
+
+    return shuffle_by(events_ds.map_batches(_slim, batch_format="pyarrow"), "user_id", per_bucket)
+
+
 def partitioned_window(events_ds):
     """Per-user ordered window functions; one output row per event:
 
@@ -35,31 +64,6 @@ def partitioned_window(events_ds):
     - ``cum_value_cents``: running sum of cents up to and incl. row
     - ``user_n_events``: COUNT(*) over the whole partition
     """
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
-    def slim(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        us = (
-            t.column("ts")
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        cents = np.round(
-            t.column("value").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": t.column("event_id"),
-                "user_id": pa.array(uid),
-                "__us": pa.array(us),
-                "__cents": pa.array(cents),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
-            }
-        )
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "__us", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy()
@@ -93,11 +97,7 @@ def partitioned_window(events_ds):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return _by_user(events_ds, per_bucket)
 
 
 def ranking_window(events_ds, n_tiles: int = 4):
@@ -118,31 +118,6 @@ def ranking_window(events_ds, n_tiles: int = 4):
     int64 columns through one hash(user) shuffle; every function for
     every user in a bucket computed by one vectorized scan).
     """
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
-    def slim(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        us = (
-            t.column("ts")
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        cents = np.round(
-            t.column("value").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": t.column("event_id"),
-                "user_id": pa.array(uid),
-                "__us": pa.array(us),
-                "__cents": pa.array(cents),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
-            }
-        )
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "__us", "event_id"], kind="stable")
         uid = g["user_id"].to_numpy()
@@ -193,11 +168,7 @@ def ranking_window(events_ds, n_tiles: int = 4):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return _by_user(events_ds, per_bucket)
 
 
 def ranking_window_sql(source: str = "events", n_tiles: int = 4) -> str:
@@ -246,31 +217,7 @@ def frame_window(events_ds, preceding: int = 2):
     ``preceding+1`` shifted copies (k is a small constant; no per-row
     loop), with partition starts masked by row position.
     """
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
     k = int(preceding)
-
-    def slim(t: pa.Table) -> pa.Table:
-        uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        us = (
-            t.column("ts")
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        cents = np.round(
-            t.column("value").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": t.column("event_id"),
-                "user_id": pa.array(uid),
-                "__us": pa.array(us),
-                "__cents": pa.array(cents),
-                "__b": pa.array(_bucket_of(uid, n_buckets)),
-            }
-        )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "__us", "event_id"], kind="stable")
@@ -307,11 +254,7 @@ def frame_window(events_ds, preceding: int = 2):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return _by_user(events_ds, per_bucket)
 
 
 def frame_window_sql(source: str = "events", preceding: int = 2) -> str:
@@ -341,10 +284,6 @@ def cume_dist_orders(orders_ds):
     Same one-shuffle coarse-bucket shape as the other window ops:
     slim int64 rows, hash(custkey) buckets, one vectorized scan per
     bucket."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
     def slim(t: pa.Table) -> pa.Table:
         ck = t.column("o_custkey").to_numpy().astype(np.int64)
         cents = np.round(
@@ -355,7 +294,6 @@ def cume_dist_orders(orders_ds):
                 "o_orderkey": t.column("o_orderkey"),
                 "o_custkey": pa.array(ck),
                 "__cents": pa.array(cents),
-                "__b": pa.array(_bucket_of(ck, n_buckets)),
             }
         )
 
@@ -391,11 +329,9 @@ def cume_dist_orders(orders_ds):
             }
         )
 
-    return (
-        orders_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    from .cogroup import shuffle_by
+
+    return shuffle_by(orders_ds.map_batches(slim, batch_format="pyarrow"), "o_custkey", per_bucket)
 
 
 def cume_dist_sql(source: str = "orders") -> str:
@@ -421,10 +357,6 @@ def user_first_last(events_ds):
     candidate pair per (batch, user); the final merge is a tiny
     single-key groupby scan. Deterministic because the order key is
     unique (event_id tiebreak)."""
-    from .cogroup import _bucket_of, default_n_buckets
-
-    n_buckets = default_n_buckets()
-
     def slim(t: pa.Table) -> pa.Table:
         uid = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
         us = (
@@ -454,7 +386,6 @@ def user_first_last(events_ds):
                 "last_us": pa.array(agg["last_us"].to_numpy(np.int64)),
                 "last_e": pa.array(agg["last_e"].to_numpy(np.int64)),
                 "n": pa.array(agg["n"].to_numpy(np.int64)),
-                "__b": pa.array(_bucket_of(agg["u"].to_numpy(np.int64), n_buckets)),
             }
         )
 
@@ -473,11 +404,9 @@ def user_first_last(events_ds):
             }
         )
 
-    return (
-        events_ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(merge, batch_format="pandas")
-    )
+    from .cogroup import shuffle_by
+
+    return shuffle_by(events_ds.map_batches(slim, batch_format="pyarrow"), "u", merge)
 
 
 def user_first_last_sql(source: str = "events") -> str:

@@ -92,16 +92,10 @@ def hourly_activity_pruned(events_ds, lo_hr: int, hi_hr: int, path: str):
     the pruned layout -> (hr, n_events, n_users)."""
     import pandas as pd
 
-    from ..stages.cogroup import default_n_buckets
+    from ..stages.cogroup import shuffle_by
 
     write_clustered_events(events_ds, path)
     rows = read_hr_range(path, lo_hr, hi_hr)
-    nb = default_n_buckets()
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__bucket", pa.array(t.column("hr").to_numpy() % nb, pa.int64())
-        )
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("hr", sort=False).agg(
@@ -109,11 +103,7 @@ def hourly_activity_pruned(events_ds, lo_hr: int, hi_hr: int, path: str):
         )
         return out.reset_index().astype(np.int64)
 
-    return (
-        rows.map_batches(tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(agg, batch_format="pandas")
-    )
+    return shuffle_by(rows, "hr", agg)
 
 
 def hourly_activity_sql(lo_hr: int, hi_hr: int, source: str = "events") -> str:

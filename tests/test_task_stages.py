@@ -19,7 +19,11 @@
 - ``broadcast_join`` checks its unique-key precondition.
 - An AST guard fails on any per-row Python path (a loop, a
   comprehension, a ``.to_pylist()``/``.tolist()``) in the page
-  synthesis and extraction kernels of ``corpus/pages.py``.
+  synthesis and extraction kernels of ``corpus/pages.py`` and in
+  ``cogroup.shuffle_by``'s key hash.
+- A fifth AST guard fails on any hash-bucket shuffle outside
+  ``cogroup.shuffle_by``: a reference to the bucket hashes or the
+  bucket count, or a ``groupby(<bucket column>).map_groups``.
 """
 
 import ast
@@ -48,9 +52,9 @@ ACTOR_POOL_ALLOWED: set[tuple[str, str]] = set()
 RAY_GET_ALLOWED: set[tuple[str, str]] = set()
 
 
-def _scanned_files() -> list[str]:
-    files = [os.path.join(REPO, "__ray_entry__.py"), os.path.join(REPO, "bench.py")]
-    for root, _, names in os.walk(os.path.join(REPO, "lasutility_ray")):
+def _scanned_files(repo: str = REPO) -> list[str]:
+    files = [os.path.join(repo, "__ray_entry__.py"), os.path.join(repo, "bench.py")]
+    for root, _, names in os.walk(os.path.join(repo, "lasutility_ray")):
         files += [os.path.join(root, n) for n in names if n.endswith(".py")]
     return sorted(files)
 
@@ -329,6 +333,77 @@ def _per_row_sites(path: str, entry: tuple[str, ...]) -> list[tuple[str, int, st
             if what is not None:
                 sites.append((name, n.lineno, what))
     return sorted(sites)
+
+
+COGROUP = "lasutility_ray/stages/cogroup.py"
+# the key hash shuffle_by applies to every batch (and the per-column
+# hash it maps over the key's columns)
+KEY_HASH_ENTRY = ("key_buckets", "_col_hash")
+
+
+def test_shuffle_key_hash_has_no_per_row_path():
+    sites = _per_row_sites(os.path.join(REPO, COGROUP), KEY_HASH_ENTRY)
+    assert sites == [], (
+        f"per-row Python in {COGROUP}'s key hash:\n"
+        + "\n".join(f"  {fn}():{line} {what}" for fn, line, what in sites)
+    )
+
+
+# totalsort splits on sampled key ranges, not a hash bucket: it sizes
+# its own partition count and groups by its own partition column
+BUCKET_SHUFFLE_ALLOWED = {"lasutility_ray/stages/totalsort.py"}
+BUCKET_HASHES = {"_bucket_of", "_str_bucket_of"}
+BUCKET_COLUMNS = {"__b", "__bucket", "bucket", "__gab_bucket"}
+
+
+def _bucket_shuffle_sites(repo: str = REPO) -> list[tuple[str, int, str]]:
+    """(file, line, what) of every hash-bucket shuffle written outside
+    ``cogroup.shuffle_by``: a reference to ``_bucket_of`` or
+    ``_str_bucket_of`` outside cogroup.py, to ``default_n_buckets``
+    outside cogroup.py and the allowed files, and a
+    ``.groupby(<bucket column literal>).map_groups`` outside both."""
+    sites = []
+    for path in _scanned_files(repo):
+        rel = os.path.relpath(path, repo)
+        if rel == COGROUP:
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            for name in names:
+                if name in BUCKET_HASHES or (
+                    name == "default_n_buckets" and rel not in BUCKET_SHUFFLE_ALLOWED
+                ):
+                    sites.append((rel, node.lineno, name))
+            if (
+                rel not in BUCKET_SHUFFLE_ALLOWED
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_groups"
+                and isinstance(node.func.value, ast.Call)
+                and isinstance(node.func.value.func, ast.Attribute)
+                and node.func.value.func.attr == "groupby"
+                and node.func.value.args
+                and isinstance(node.func.value.args[0], ast.Constant)
+                and node.func.value.args[0].value in BUCKET_COLUMNS
+            ):
+                sites.append((rel, node.lineno, f"groupby({node.func.value.args[0].value!r}).map_groups"))
+    return sorted(sites)
+
+
+def test_bucket_shuffles_go_through_shuffle_by():
+    sites = _bucket_shuffle_sites()
+    assert sites == [], (
+        "hash-bucket shuffles outside cogroup.shuffle_by:\n"
+        + "\n".join(f"  {f}:{line} {what}" for f, line, what in sites)
+    )
 
 
 def test_page_kernels_have_no_per_row_path():

@@ -116,7 +116,10 @@ def test_temporal_queries_match_duckdb(ray_session):
         assert len(a) > 0
 
 
-def test_random_range_join_vs_pandas(ray_session):
+def test_random_range_join_vs_pandas(ray_session, monkeypatch):
+    from lasutility_ray.stages import cogroup
+
+    monkeypatch.setattr(cogroup, "default_n_buckets", lambda: 7)
     rng = np.random.default_rng(7)
     n_l, n_r = 300, 500
     lk = rng.integers(0, 20, n_l)
@@ -131,7 +134,6 @@ def test_random_range_join_vs_pandas(ray_session):
         range_join(
             left, right, on=("k", "k"), left_ts="lts", right_ts="rts",
             lo_us=-50, hi_us=25, attach={"rid": "rid", "rts": "rts"},
-            n_buckets=7,
         )
         .to_pandas()
     )
