@@ -11,10 +11,10 @@ never array order (see SURVEY.md §7.5).
 O(n log n); runs per tile inside ``map_groups``, never on the driver.
 Seed selection, the circumcenter and the argsort are numpy. The sweep
 itself runs in C (``_delaunator.c``, a line-for-line port of
-``_sweep_py`` whose output is bit-identical to it), compiled with the
-system ``gcc`` on the first ``Delaunator`` call and cached per host
-under the user cache dir; where it cannot be built or loaded, the
-Python sweep runs instead and one warning is logged per process.
+``_sweep_py`` whose output is bit-identical to it), part of the
+compiled tile kernels (``ckernel.py``: built on the first kernel call,
+cached per host); where they cannot be built or loaded, the Python
+sweep runs instead.
 ``KERNEL`` records which sweep produced the last triangulation.
 
 On one vCPU, a 1.31M-point tile (perfbench's generator, seed 7) takes
@@ -23,27 +23,17 @@ On one vCPU, a 1.31M-point tile (perfbench's generator, seed 7) takes
 
 from __future__ import annotations
 
-import ctypes
-import fcntl
-import hashlib
-import logging
 import math
-import os
-import subprocess
 
 import numpy as np
+
+from . import ckernel
 
 EPSILON = 2.0**-52
 EDGE_STACK_SIZE = 512
 
-log = logging.getLogger(__name__)
-
 # "c" or "python": the sweep that produced the last Delaunator's output
 KERNEL: str | None = None
-
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_delaunator.c")
-_CC = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_sweep_fn = None  # the loaded C entry point; False once loading failed
 
 
 def _orient2d(ax, ay, bx, by, cx, cy):
@@ -146,65 +136,11 @@ def _seed(xnp: np.ndarray, ynp: np.ndarray):
     return i0, i1, i2, ccx, ccy, ids
 
 
-def _build(cache_dir: str) -> str:
-    """Compile ``_delaunator.c`` into ``cache_dir`` unless a build of
-    the same source and flags is there; return the library's path.
-    Concurrent builders serialize on a lock of the directory, and the
-    library appears only complete (``os.replace``)."""
-    with open(_SRC, "rb") as f:
-        key = hashlib.sha256(f.read() + "\0".join(_CC).encode()).hexdigest()[:16]
-    so = os.path.join(cache_dir, f"delaunator-{key}.so")
-    if os.path.exists(so):
-        return so
-    os.makedirs(cache_dir, exist_ok=True)
-    fd = os.open(cache_dir, os.O_RDONLY)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        if not os.path.exists(so):
-            tmp = f"{so}.tmp"  # one writer at a time: the lock is held
-            try:
-                subprocess.run(
-                    [*_CC, "-o", tmp, _SRC, "-lm"],
-                    check=True, capture_output=True, text=True,
-                )
-                os.replace(tmp, so)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-    finally:
-        os.close(fd)  # releases the lock
-    return so
-
-
-def _cache_dir() -> str:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "lasutility_ray")
-
-
 def _load_sweep():
-    """The C sweep, built and loaded once per process; None (after
-    one logged warning) where that fails."""
-    global _sweep_fn
-    if _sweep_fn is None:
-        try:
-            fn = ctypes.CDLL(_build(_cache_dir())).delaunator_sweep
-        except (OSError, subprocess.SubprocessError) as exc:
-            detail = getattr(exc, "stderr", None) or exc
-            log.warning("Delaunay C sweep unavailable, using the Python sweep: %s", detail)
-            _sweep_fn = False
-        else:
-            f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-            i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-            i = ctypes.c_int64
-            fn.restype = ctypes.c_int
-            fn.argtypes = [
-                i, f64, f64, i64, i, i, i, ctypes.c_double, ctypes.c_double, i, i,
-                i64, i64, i64, i64, i64, i64, i64, i64,
-            ]
-            _sweep_fn = fn
-    return _sweep_fn or None
+    """The C sweep from the compiled tile kernels; None where they
+    could not be built or loaded."""
+    lib = ckernel.load()
+    return None if lib is None else lib.delaunator_sweep
 
 
 def _sweep_c(fn, xnp, ynp, i0, i1, i2, ccx, ccy, ids):

@@ -654,28 +654,6 @@ def _finish_frame(frame, coef_grids, qt):
     return np.clip(np.round(np.stack([r, g, b], -1)), 0, 255).astype(np.uint8)
 
 
-def _decode_block(br, dc_tab, ac_tab, pred, ci):
-    out = np.zeros(64, np.float64)
-    t = _decode_huff(br, dc_tab)
-    diff = _extend(br.read(t), t) if t else 0
-    pred[ci] += diff
-    out[0] = pred[ci]
-    k = 1
-    while k < 64:
-        rs = _decode_huff(br, ac_tab)
-        r, s = rs >> 4, rs & 0x0F
-        if s == 0:
-            if r == 15:  # ZRL
-                k += 16
-                continue
-            break  # EOB
-        k += r
-        if k > 63:
-            raise JpegError("AC run overruns block")
-        out[k] = _extend(br.read(s), s)
-        k += 1
-    return out
-
 
 # ------------------------------------------------- progressive decode
 

@@ -150,10 +150,6 @@ def encode(east, north, wanted_size_north: int) -> np.ndarray:
     return out
 
 
-def encode_batch(east, north, wanted_size_north: int) -> np.ndarray:
-    """Alias used by stages; identical to :func:`encode`."""
-    return encode(east, north, wanted_size_north)
-
 
 @functools.lru_cache(maxsize=65536)
 def decode(name: str) -> tuple[int, int, int, int]:

@@ -226,21 +226,6 @@ def save_highest_in_class_range_ascii(
     return buf.getvalue()
 
 
-def save_ground_height_ascii(tile: VoxelTile, no_data: float = -9999.0) -> str:
-    """SaveAsAscGroundHeight (VoxelGrid.cs:200-220); rows bottom-up."""
-    buf = io.StringIO()
-    _voxel_header(buf, tile, no_data)
-    for i_row in range(tile.bounds.n_rows):
-        row = tile.dem[i_row]
-        buf.write(
-            " ".join(
-                fmt_double(no_data) if np.isnan(v) else fmt_float32_as_double(v)
-                for v in row
-            )
-        )
-        buf.write("\n")
-    return buf.getvalue()
-
 
 def write_dem_ascii(tile: VoxelTile) -> str:
     """WriteDemAsAscii (VoxelGrid.cs:319-345): rows top-down, float32

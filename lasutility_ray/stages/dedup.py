@@ -304,13 +304,6 @@ def minhash_band_rows(batch: pa.Table, id_col: str = "doc_id", text_col: str = "
     )
 
 
-def _bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    ids = np.sort(g["id"].unique())
-    if len(ids) < 2:
-        return pd.DataFrame({"a": [], "b": []}, dtype=np.int64)
-    a, b = np.triu_indices(len(ids), k=1)
-    return pd.DataFrame({"a": ids[a], "b": ids[b]})
-
 
 def _pair_indices(new_group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All i<j row-index pairs within each run of a SORTED grouping,
@@ -544,10 +537,6 @@ def _simhash_batch(texts: list[str]) -> np.ndarray:
         out[nonempty] = sim
     return out
 
-
-def simhash64(text: str) -> int:
-    """64-bit SimHash over word features (vectorized word hashes)."""
-    return int(_simhash_batch([text])[0])
 
 
 def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",

@@ -28,7 +28,6 @@ import pyarrow as pa
 from ..corpus.nls import ALL_CLASS_MAPS
 from ..geom.bounds import EPSILON, RasterBounds
 from ..geom.clip import clip_geometry, envelope_contains
-from ..geom.fill import burn_polygon_with_holes
 from ..geom.lines import burn_line
 from ..geom.tilenamer import decode
 from ..geom.wkbgeom import LineString, MultiLineString, MultiPolygon, Polygon, from_wkb
@@ -310,32 +309,6 @@ def burn_tile(
         }
     )
 
-
-def _burn_geometry(bounds, raster, temp, value, geom):
-    if isinstance(geom, Polygon):
-        geoms = [geom]
-    elif isinstance(geom, MultiPolygon):
-        geoms = geom.parts
-    elif isinstance(geom, LineString):
-        _burn_linestring(bounds, raster, value, geom)
-        return temp
-    elif isinstance(geom, MultiLineString):
-        for p in geom.parts:
-            _burn_linestring(bounds, raster, value, p)
-        return temp
-    else:
-        raise TypeError(f"Unsupported geometry {type(geom)}")
-
-    for p in geoms:
-        e = p.envelope
-        rc_min = bounds.proj_to_cell_scalar(e[0], e[1])
-        rc_max = bounds.proj_to_cell_scalar(e[2], e[3])
-        if rc_min is None or rc_max is None:
-            raise ValueError("Still outside raster")
-        temp = burn_polygon_with_holes(
-            bounds, raster, temp, value, p.exterior, list(p.interiors), rc_min, rc_max
-        )
-    return temp
 
 
 def _burn_linestring(bounds, raster, value, ls: LineString):

@@ -369,15 +369,6 @@ def canonicalize_urls(urls: pd.Series) -> pd.Series:
     return (scheme + "://" + auth + rest).where(has, s)
 
 
-def canonical_url_stage(pages_ds, url_col: str = "url", out_col: str = "canonical_url"):
-    """Append a canonical-url column (map-only)."""
-
-    def add(t: pa.Table) -> pa.Table:
-        canon = canonicalize_urls(t.column(url_col).to_pandas())
-        return t.append_column(out_col, pa.array(canon.to_numpy(), pa.string()))
-
-    return pages_ds.map_batches(add, batch_format="pyarrow")
-
 
 # --------------------------------------------------- incremental dedup
 

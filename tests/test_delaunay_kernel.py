@@ -2,7 +2,9 @@
 Python sweep it ports: array-equal ``triangles``, ``halfedges`` and
 ``hull`` over uniform, cm-snapped, duplicate-bearing, near-collinear
 and co-circular integer-grid inputs; the fallback to the Python sweep
-when the build fails; the per-host build cache. No Ray."""
+when the build fails; the per-host build cache of the compiled tile
+kernels (``geom/ckernel.py``), which hold this sweep and the TIN
+raster kernels in one library. No Ray."""
 
 import ctypes
 import logging
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lasutility_ray.geom import ckernel
 from lasutility_ray.geom import delaunay as D
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -139,28 +142,44 @@ def test_fallback_when_the_build_fails(monkeypatch, caplog):
     def no_compiler(cache_dir):
         raise FileNotFoundError("gcc")
 
-    monkeypatch.setattr(D, "_sweep_fn", None)
-    monkeypatch.setattr(D, "_build", no_compiler)
-    with caplog.at_level(logging.WARNING, logger=D.__name__):
+    monkeypatch.setattr(ckernel, "_lib", None)
+    monkeypatch.setattr(ckernel, "_build", no_compiler)
+    with caplog.at_level(logging.WARNING, logger=ckernel.__name__):
         got = [D.Delaunator(x, y) for _ in range(3)]
     assert D.KERNEL == "python"
-    assert len([r for r in caplog.records if r.name == D.__name__]) == 1
+    assert len([r for r in caplog.records if r.name == ckernel.__name__]) == 1
     for g in got:
         _assert_equal((g.triangles, g.halfedges, g.hull), (want.triangles, want.halfedges, want.hull))
 
 
 @needs_gcc
-def test_build_is_cached(tmp_path):
-    so = D._build(str(tmp_path))
+def test_build_is_cached(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    so = ckernel._build(str(cache))
     mtime = os.stat(so).st_mtime_ns
-    assert D._build(str(tmp_path)) == so
+    assert ckernel._build(str(cache)) == so
     assert os.stat(so).st_mtime_ns == mtime
-    assert os.listdir(tmp_path) == [os.path.basename(so)]
+    assert os.listdir(cache) == [os.path.basename(so)]
+    ctypes.CDLL(so).tri_rasterise  # the sweep and the raster kernels: one library
+
+    # an edit to either source is a new library
+    built = {so}
+    for i, src in enumerate(ckernel._SRCS):
+        edited = shutil.copy(src, tmp_path / os.path.basename(src))
+        with open(edited, "a") as f:
+            f.write("\n/* edited */\n")
+        srcs = list(ckernel._SRCS)
+        srcs[i] = str(edited)
+        with monkeypatch.context() as m:
+            m.setattr(ckernel, "_SRCS", tuple(srcs))
+            built.add(ckernel._build(str(cache)))
+    assert len(built) == 3
+    assert sorted(os.listdir(cache)) == sorted(os.path.basename(p) for p in built)
 
 
 @needs_gcc
 def test_concurrent_builds_leave_one_library(tmp_path):
-    code = "import sys; from lasutility_ray.geom.delaunay import _build; print(_build(sys.argv[1]))"
+    code = "import sys; from lasutility_ray.geom.ckernel import _build; print(_build(sys.argv[1]))"
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", code, str(tmp_path)],
@@ -174,4 +193,6 @@ def test_concurrent_builds_leave_one_library(tmp_path):
     assert len(paths) == 1
     so = paths.pop()
     assert os.listdir(tmp_path) == [os.path.basename(so)]
-    ctypes.CDLL(so).delaunator_sweep  # a complete, loadable library
+    lib = ctypes.CDLL(so)  # a complete, loadable library of every kernel
+    for name in ("delaunator_sweep", "tri_grid_count", "tri_grid_fill", "tri_probe", "tri_rasterise"):
+        getattr(lib, name)
