@@ -30,8 +30,8 @@ the index, 0.008 s to rasterise and 0.001 s to gap-fill, against
 0.031, 0.030 and 0.004 s in numpy; the 16 tiles of the uniform pass
 take 0.011, 0.020 and 0.015 s in all, against 0.087, 0.090 and 0.064 s.
 
-This object lives only inside one ``map_groups`` invocation or one
-actor — it is never shipped through the object store.
+This object lives only inside one in-bucket tile call — it is never
+shipped through the object store.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ from .delaunay import Delaunator
 
 DEGENERATE_DET = 1e-12  # Triangulation.cs:266
 CLASSIFICATION_CHANNEL = "Classification"  # RasteriseDemRequest.cs:26
+# (point, candidate) pairs the numpy probe expands at once: ~20 float64
+# arrays of this length, about 160 MiB at this count
+PROBE_PAIRS = 1 << 20
 
 
 class SurfaceTriangulation:
@@ -236,10 +239,12 @@ def _probe_c(lib, tri: SurfaceTriangulation, xs, ys):
 
 
 def _probe_np(tri: SurfaceTriangulation, xs, ys):
-    """Points are grouped per index cell so each cell's candidate set
-    is tested against its points in one broadcasted PIP pass; the
+    """Each point is tested against its index cell's candidates in one
+    broadcasted PIP pass over the flat (point, candidate) pairs; the
     first containing triangle in tri-id order wins (candidate
-    insertion order == tri-id order)."""
+    insertion order == tri-id order). Points go in consecutive slices
+    of at most ``PROBE_PAIRS`` pairs (a point with more candidates
+    alone), so memory stays bounded however many points are probed."""
     n = len(xs)
     heights = np.full(n, np.nan)
     classes = np.zeros(n, dtype=np.uint8)
@@ -249,15 +254,29 @@ def _probe_np(tri: SurfaceTriangulation, xs, ys):
     b = tri.bounds
     rows, cols, valid = b.proj_to_cell(xs, ys)
     cells = np.where(valid, rows * b.n_cols + cols, 0)
-
-    # flat (point, candidate) pair expansion over the CSR index —
-    # no python loop over cells/points
     starts = tri._cell_starts
     c0 = starts[cells]
     counts = np.where(valid, starts[cells + 1] - c0, 0)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < n:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + PROBE_PAIRS, side="right")))
+        sl = slice(lo, hi)
+        _probe_pairs(tri, xs[sl], ys[sl], c0[sl], counts[sl], heights[sl], classes[sl])
+        lo = hi
+    return heights, classes
+
+
+def _probe_pairs(tri: SurfaceTriangulation, xs, ys, c0, counts, heights, classes):
+    """``_probe_np`` for one slice of points: writes each point's hit
+    into the ``heights``/``classes`` views."""
     total = int(counts.sum())
     if total == 0:
-        return heights, classes
+        return
+    # flat (point, candidate) pair expansion over the CSR index —
+    # no python loop over cells/points
+    n = len(xs)
     pt = np.repeat(np.arange(n, dtype=np.int64), counts)
     offs = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offs[1:])
@@ -282,7 +301,7 @@ def _probe_np(tri: SurfaceTriangulation, xs, ys):
 
     hit_idx = np.flatnonzero(inside)
     if len(hit_idx) == 0:
-        return heights, classes
+        return
     # first containing candidate per point, in candidate (= tri id)
     # order: pairs are grouped by point in that order already
     gi_all, first_pos = np.unique(pt[hit_idx], return_index=True)
@@ -297,7 +316,6 @@ def _probe_np(tri: SurfaceTriangulation, xs, ys):
     h = l1 * z[j0] + l2 * z[j1] + l3 * z[j2]
     heights[gi_all] = h
     classes[gi_all] = _closest_class(qx, qy, h, x, y, z, cl, j0, j1, j2)
-    return heights, classes
 
 
 # -- rasterization (Triangulation.cs:202-298) ------------------------

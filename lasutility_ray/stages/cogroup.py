@@ -2,20 +2,32 @@
 (``shuffle_by``), the bucketed lookup join built on its key hash, and
 the bounded one-task finish (``one_task``).
 
+Both shuffles run through ONE exchange (``_exchange``): a hash bucket
+id in ``__bucket``, a range partition on it at boundaries fixed on the
+driver (``Dataset.sort(__bucket, boundaries=[1, ..., n-1])``), then one
+``map_batches(batch_size=None)`` pass that calls the caller's function
+once per non-empty reducer block. Because the boundaries are given,
+Ray runs no sampling pass (a barrier plus one task per input block),
+and each reducer holds exactly one bucket id, so every call sees one
+whole bucket. The bucket count (``n_buckets_for``) is one bucket per
+cluster CPU, raised so that no bucket outgrows Ray Data's target block
+size: a small input pays one reduce and one map task per CPU, and a
+large one keeps each call's frame bounded as it grows.
+
 ``Dataset.join`` in Ray 2.49 crashes when a hash partition receives no
 left-side shard (the aggregator builds a schema-less empty table and
 ``pyarrow.Table.join`` then fails with "No match ... for key field") —
 which is the NORMAL case for a sparse left side such as a candidate
-pair list. ``lookup_join`` uses the coarse-bucket co-group instead:
+pair list. ``lookup_join`` co-groups instead:
 
 1. both sides map to a shared wide schema (absent columns null) with a
    ``__bucket = hash(key) % n_buckets`` shuffle key and a ``__side``
    tag;
-2. ONE ``groupby(__bucket)`` co-groups them; inside each bucket a
-   C-speed ``pandas.merge`` performs the inner lookup.
+2. the one exchange co-groups them; inside each bucket a C-speed
+   ``pandas.merge`` performs the inner lookup.
 
 The shuffle moves each side exactly once; no partition can be empty-
-schemed because every group block carries the full union schema.
+schemed because every bucket block carries the full union schema.
 A hot left key is spread over sub-buckets by the caller's integer
 ``n_salt``.
 """
@@ -27,8 +39,6 @@ from functools import lru_cache, reduce, wraps
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-N_BUCKETS = 64
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # one multiplier per column of a multi-column key
@@ -51,11 +61,10 @@ def _cluster_cpus() -> int:
 
 
 def default_n_buckets() -> int:
-    """Coarse-bucket fanout scaled to the cluster: ~4 buckets per CPU
-    (so the in-bucket stage can use every core) with a floor of
-    ``N_BUCKETS``. Bucket count only affects partitioning, never
-    results."""
-    return max(N_BUCKETS, _cluster_cpus() * 4)
+    """Coarse-bucket fanout floor: one bucket per cluster CPU (at least
+    one), so every core runs one in-bucket call. Bucket count only
+    affects partitioning, never results."""
+    return max(1, _cluster_cpus())
 
 
 @lru_cache(maxsize=None)
@@ -71,11 +80,48 @@ def _planned_n_buckets() -> int:
     return _count_once(default_n_buckets, _cluster_cpus())
 
 
+def _source_bytes(datasets) -> int:
+    """Estimated in-memory bytes of the sources the plans of
+    ``datasets`` read: the read tasks' estimates and the sizes of
+    in-memory inputs, from Ray Data's logical plan without running it.
+    A source of unknown size counts 0. Each operator is visited once:
+    an iterative stage's plan reuses one input along many paths."""
+    total = 0
+    ops, seen = [d._logical_plan.dag for d in datasets], set()
+    while ops:
+        op = ops.pop()
+        if id(op) in seen:
+            continue
+        seen.add(id(op))
+        if op.input_dependencies:
+            ops.extend(op.input_dependencies)
+        else:
+            total += op.infer_metadata().size_bytes or 0
+    return total
+
+
+def n_buckets_for(*datasets) -> int:
+    """Bucket count of a shuffle over ``datasets``, fixed on the driver:
+    ``default_n_buckets()`` (one per CPU), or more when the inputs'
+    estimated size would make a bucket larger than Ray Data's
+    ``target_max_block_size``, so one call's frame stays bounded as the
+    input grows. Bucket count only affects partitioning, never
+    results."""
+    from ray.data import DataContext
+
+    n = _planned_n_buckets()
+    target = DataContext.get_current().target_max_block_size
+    if target:
+        n = max(n, -(-_source_bytes(datasets) // target))
+    return n
+
+
 def capped_n_buckets(n_rows: int) -> int:
-    """Bucket count for the iterative graph loops: one bucket per
-    ~200k rows, at least 4 and at most ``default_n_buckets()`` — small
-    inputs keep few, well-filled groups across many rounds."""
-    return max(4, min(default_n_buckets(), n_rows // 200_000 + 1))
+    """Bucket count for the iterative graph loops, capping a bucket at
+    ~200k rows: one bucket per 200k rows, never below 4 — small inputs
+    keep few, well-filled groups across many rounds, and a bucket
+    stays ~200k rows as the graph grows."""
+    return max(4, n_rows // 200_000 + 1)
 
 
 def _bucket_of(key: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -136,32 +182,49 @@ def key_buckets(t: pa.Table, key: str | list[str], n_buckets: int) -> np.ndarray
     return ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
 
 
-def shuffle_by(ds, key: str | list[str], fn):
-    """The engine's coarse-bucket shuffle: ONE ``groupby`` on a hash
-    bucket of ``key``, then ``fn`` once per bucket.
-
-    ``fn`` takes the bucket's rows as a pandas frame (every row of a
-    key is in one call, with rows of other keys beside them) and
-    returns a frame; it does the per-key work with vectorized pandas /
-    numpy, so the per-group Python dispatch of a per-key
-    ``map_groups`` is paid once per bucket. ``ds`` may be a list of
-    Datasets with one schema (a co-group): each is bucketed, then they
-    are unioned. The bucket count is fixed here, on the driver, from
-    ``default_n_buckets()``; it only affects partitioning, never
-    results."""
-    n_buckets = _planned_n_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(_BUCKET, pa.array(key_buckets(t, key, n_buckets), pa.int64()))
+def _exchange(tagged, n_ids: int, fn):
+    """The engine's one exchange. ``tagged`` carries an int64
+    ``__bucket`` in ``[0, n_ids)``; a range partition on it at the
+    driver's boundaries ``1 .. n_ids-1`` gives each bucket id its own
+    reducer with no sampling pass, and ``fn`` runs once per reducer
+    block, on a pandas frame without the bucket column. Ray calls no
+    batch function on an empty block, so an empty reducer calls
+    nothing."""
 
     @wraps(fn)  # the plan names the caller's function
     def apply(g: pd.DataFrame) -> pd.DataFrame:
         return fn(g.drop(columns=_BUCKET))
 
+    # an empty boundary list would make Ray sample split points: a
+    # single bucket id gets an always-empty reducer ahead of it
+    boundaries = list(range(1, n_ids)) or [0]
+    return tagged.sort(_BUCKET, boundaries=boundaries).map_batches(
+        apply, batch_size=None, batch_format="pandas"
+    )
+
+
+def shuffle_by(ds, key: str | list[str], fn):
+    """The engine's coarse-bucket shuffle: a hash bucket of ``key``,
+    the one range-partition exchange, then ``fn`` once per bucket.
+
+    ``fn`` takes the bucket's rows as a pandas frame (every row of a
+    key is in one call, with rows of other keys beside them; never an
+    empty frame) and returns a frame; it does the per-key work with
+    vectorized pandas / numpy, so the per-group Python dispatch of a
+    per-key ``map_groups`` is paid once per bucket. ``ds`` may be a
+    list of Datasets with one schema (a co-group): each is bucketed,
+    then they are unioned. The bucket count is fixed here, on the
+    driver, by ``n_buckets_for`` (one per cluster CPU, more for a large
+    input); it only affects partitioning, never results."""
     inputs = ds if isinstance(ds, list) else [ds]
+    n_buckets = n_buckets_for(*inputs)
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        return t.append_column(_BUCKET, pa.array(key_buckets(t, key, n_buckets), pa.int64()))
+
     parts = [d.map_batches(add_bucket, batch_format="pyarrow") for d in inputs]
     tagged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    return tagged.groupby(_BUCKET).map_groups(apply, batch_format="pandas")
+    return _exchange(tagged, n_buckets, fn)
 
 
 def distinct_rows(ds, cols: list[str]):
@@ -242,7 +305,7 @@ def lookup_join(
     Right-side shuffle volume multiplies by ``n_salt`` (the right side
     is the small lookup side by contract), results are identical."""
     if n_buckets is None:
-        n_buckets = _planned_n_buckets()
+        n_buckets = n_buckets_for(left_ds, right_ds)
     if not isinstance(n_salt, int) or n_salt < 1:
         raise ValueError(f"n_salt must be an int >= 1 (got {n_salt!r})")
     if how not in ("inner", "semi", "anti"):
@@ -273,7 +336,7 @@ def lookup_join(
         if n_salt > 1:
             salt = np.arange(len(t), dtype=np.int64) % n_salt
             bucket = bucket * n_salt + salt
-        cols["__bucket"] = pa.array(bucket)
+        cols[_BUCKET] = pa.array(bucket)
         return pa.table(cols)
 
     def tag_right(t: pa.Table) -> pa.Table:
@@ -296,7 +359,7 @@ def lookup_join(
         if n_salt > 1:
             salt = np.tile(np.arange(n_salt, dtype=np.int64), len(t) // n_salt)
             bucket = bucket * n_salt + salt
-        cols["__bucket"] = pa.array(bucket)
+        cols[_BUCKET] = pa.array(bucket)
         return pa.table(cols)
 
     lt = left_ds.map_batches(tag_left, batch_format="pyarrow")
@@ -344,7 +407,9 @@ def lookup_join(
                 out[oc] = out[oc].astype(t.to_pandas_dtype())
         return out
 
-    return both.groupby("__bucket").map_groups(merge_bucket, batch_format="pandas")
+    # one call per salted bucket, so the duplicate-right-key check
+    # above sees every right row of its keys
+    return _exchange(both, n_buckets * n_salt, merge_bucket)
 
 
 def one_task(fn, *args):

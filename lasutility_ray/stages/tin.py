@@ -1,16 +1,21 @@
 """Per-tile TIN construction + DEM rasterization + gap fill — the
 flagship wide step (SURVEY.md §3.1/§3.3 Ray shape).
 
-``points.groupby(key_col).map_groups(rasterize_tile)``: state (the
-Delaunay TIN, the voxel bins) is group-local and dies with the group;
+``group_apply_bucketed(points, key_col, rasterize_tile)``: one
+coarse-bucket exchange (``cogroup.shuffle_by``: a hash bucket of the
+tile key, one bucket per cluster CPU or more for a large input,
+range-partitioned on boundaries fixed on the driver with no sampling
+pass), then an in-bucket pandas
+``groupby`` calls ``rasterize_tile`` once per tile. State (the
+Delaunay TIN, the voxel bins) is tile-local and dies with the tile;
 nothing crosses the object store except the input rows and the
-per-tile output row (tile summary + raster blobs). One shuffle, key
-= the 1 km tile: its name (``key_col="tile_id"``, default) or the
-int64 packed ``tile_key`` (``key_col="tile_key"``, the flagship's
-choice — int keys shuffle and group much faster than strings; the
-name is rebuilt once per group). Hot tiles are built whole in their
-group, so each tile is one task and the largest tile bounds the
-stage's wall at any CPU count: bench.py's 12M-doc corpus has two
+per-tile output row (tile summary + raster blobs). The key is the
+1 km tile: its name (``key_col="tile_id"``, default) or the int64
+packed ``tile_key`` (``key_col="tile_key"``, the flagship's choice —
+int keys hash and group much faster than strings; the name is rebuilt
+once per tile). Hot tiles are built whole in their bucket, so each
+tile is one call and the largest tile bounds the stage's wall at any
+CPU count: bench.py's 12M-doc corpus has two
 1.2M-point urban tiles, one single-task build each. With the Delaunay
 sweep compiled (geom/delaunay.py) a 1.31M-point tile built in ~4 s on
 one vCPU (Delaunay 1.4 s), with the Python sweep ~34 s; the grid index,
@@ -97,10 +102,24 @@ def tin_tiles(points_ds, include_rasters: bool = True, key_col: str = "tile_id")
     summary-only outputs (oracle checks). ``key_col`` is the shuffle
     key: ``"tile_id"`` (string name) or ``"tile_key"`` (int64 packed
     key; the input then needs no ``tile_id`` column). Runs through the
-    coarse-bucket co-group (one int-key sort + in-bucket pandas
-    groupby) — Ray's native per-group map_groups dispatch costs ~10s
-    of pure overhead at a few hundred tiles x millions of rows."""
+    coarse-bucket exchange (one range partition on the bucket id +
+    in-bucket pandas groupby) — Ray's native per-group map_groups
+    dispatch costs ~10s of pure overhead at a few hundred tiles x
+    millions of rows."""
     from .cogroup import group_apply_bucketed
+
+    out = group_apply_bucketed(points_ds, key_col, tile_rasterizer(key_col))
+    if not include_rasters:
+        out = out.drop_columns(["dem", "classification_raster"])
+    return out
+
+
+def tile_rasterizer(key_col: str = "tile_id"):
+    """The per-tile function of :func:`tin_tiles` for shuffle key
+    ``key_col``: ``rasterize_tile``, which reads ``tile_id``, or for
+    another key a wrapper that rebuilds the tile name from it."""
+    if key_col == "tile_id":
+        return rasterize_tile
     from .tiling import tile_key_to_name
 
     def keyed(group: pd.DataFrame) -> pd.DataFrame:
@@ -108,11 +127,7 @@ def tin_tiles(points_ds, include_rasters: bool = True, key_col: str = "tile_id")
         name = tile_key_to_name(group[key_col].iloc[0])
         return rasterize_tile(group.assign(tile_id=name))
 
-    fn = rasterize_tile if key_col == "tile_id" else keyed
-    out = group_apply_bucketed(points_ds, key_col, fn)
-    if not include_rasters:
-        out = out.drop_columns(["dem", "classification_raster"])
-    return out
+    return keyed
 
 
 def tin_summary(points_ds):

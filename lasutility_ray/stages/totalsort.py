@@ -23,9 +23,7 @@ MAXC = 1 << 31
 def total_sort_ranks(docs_ds, sample_n: int = 4096):
     """documents -> (rank, doc_id, n_chars) with rank = the exact
     1-based position under ORDER BY (n_chars DESC, doc_id ASC)."""
-    from .cogroup import default_n_buckets
-
-    nb = default_n_buckets()
+    from .cogroup import n_buckets_for
 
     def keyed(t: pa.Table) -> pa.Table:
         d = t.column("doc_id").to_numpy()
@@ -49,6 +47,7 @@ def total_sort_ranks(docs_ds, sample_n: int = 4096):
         )
 
     slim = docs_ds.map_batches(keyed, batch_format="pyarrow").materialize()
+    nb = n_buckets_for(slim)
 
     # deterministic sample -> nb-1 split points (balance only)
     sample = slim.limit(sample_n).to_pandas()["key"].to_numpy()

@@ -343,33 +343,6 @@ def pack_sequences(docs_ds, budget: int, id_col: str = "doc_id", text_col: str =
     )
 
 
-# -------------------------------------------------- url canonicalization
-
-_DEFAULT_PORT = {"http": ":80", "https": ":443"}
-
-
-def canonicalize_urls(urls: pd.Series) -> pd.Series:
-    """RFC-3986-style URL normalization for crawl dedup: drop the
-    fragment, lowercase scheme + host, strip the scheme's default
-    port, ensure a path ('' -> '/'), collapse empty query ('?' tail).
-    Pure pandas str kernels (C-vectorized); non-URL strings pass
-    through unchanged."""
-    s = urls.str.replace(r"#.*$", "", regex=True).str.replace(
-        r"\?$", "", regex=True
-    )
-    m = s.str.extract(r"^([A-Za-z][A-Za-z0-9+.-]*)://([^/?]*)(.*)$")
-    has = m[0].notna()
-    scheme = m[0].str.lower()
-    auth = m[1].str.lower()
-    rest = m[2].fillna("")
-    for sch, port in _DEFAULT_PORT.items():
-        on = scheme == sch
-        auth = auth.mask(on & auth.str.endswith(port), auth.str[: -len(port)])
-    rest = rest.mask(rest == "", "/").mask(rest.str.startswith("?"), "/" + rest)
-    return (scheme + "://" + auth + rest).where(has, s)
-
-
-
 # --------------------------------------------------- incremental dedup
 
 

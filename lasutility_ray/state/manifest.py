@@ -155,37 +155,41 @@ def _pending_input(points_ds, out_dir: str, key_col: str, done_translate=None):
 def resumable_tiles(
     points_ds,
     out_dir: str,
-    tiles_fn,
+    tile_fn,
     key_col: str = "tile_id",
     pending_key_col: str | None = None,
     done_translate=None,
 ):
-    """Checkpoint ANY tile-keyed wide step: ``tiles_fn`` maps the
-    pending points Dataset to a tiles Dataset (one row per key);
-    every output row commits its own atomic parquet + a manifest row
-    carrying lineage + whatever integer metrics the row exposes
-    (METRIC_COLS intersection). A killed job resumes by skipping keys
-    already in the manifest (the LockedCells idea at tile
-    granularity). Returns the manifest table after driving the
-    pipeline.
+    """Checkpoint ANY tile-keyed wide step: ``tile_fn`` maps one key's
+    pending rows (a pandas frame) to that key's output row. The
+    pending rows go through one coarse-bucket shuffle on the key
+    (``cogroup.group_apply_bucketed``), and each output row commits
+    its own atomic parquet + a manifest row carrying lineage +
+    whatever integer metrics the row exposes (METRIC_COLS
+    intersection) as soon as ``tile_fn`` returns it: a bucket holds
+    many keys, and a killed run keeps every one finished before the
+    kill. A killed job resumes by skipping keys already in the
+    manifest (the LockedCells idea at tile granularity). Returns the
+    manifest table after driving the pipeline.
 
     ``pending_key_col``/``done_translate``: when the INPUT carries a
     different key column than the output (e.g. the int64 tile_key),
-    the resume filter runs on that column with the manifest's string
-    keys mapped through ``done_translate``."""
-    pending = _pending_input(
-        points_ds, out_dir, pending_key_col or key_col, done_translate=done_translate
-    )
-    tiles = tiles_fn(pending)
-    tiles.map_batches(_commit_rows_fn(out_dir, key_col), batch_format="pandas").count()
+    the shuffle and the resume filter run on that column with the
+    manifest's string keys mapped through ``done_translate``."""
+    from ..stages.cogroup import group_apply_bucketed
+
+    shuffle_key = pending_key_col or key_col
+    pending = _pending_input(points_ds, out_dir, shuffle_key, done_translate=done_translate)
+    commit = _commit_rows_fn(out_dir, key_col)
+    group_apply_bucketed(pending, shuffle_key, lambda g: commit(tile_fn(g))).count()
     return manifest_table(out_dir)
 
 
 def _commit_rows_fn(out_dir: str, key_col: str):
-    """The batch function of :func:`resumable_tiles`: commit each row
-    of a tiles batch as its own partition, return the manifest rows.
-    An empty batch returns the same typed columns, so every block of
-    the stage has one schema."""
+    """The commit of :func:`resumable_tiles`: commit each row of a
+    tiles frame as its own partition, return the manifest rows. An
+    empty frame returns the same typed columns, so every block of the
+    stage has one schema."""
 
     def commit_rows(df: pd.DataFrame) -> pd.DataFrame:
         metric_cols = [c for c in METRIC_COLS if c in df.columns]
@@ -221,7 +225,7 @@ def resumable_tin_tiles(points_ds, out_dir: str, key_col: str = "tile_id"):
     ``key_col="tile_key"`` shuffles on the int64 packed tile key
     instead of the string name (manifest keys stay string names; the
     resume filter translates them to keys)."""
-    from ..stages.tin import tin_tiles
+    from ..stages.tin import tile_rasterizer
 
     done_translate = None
     if key_col != "tile_id":
@@ -231,7 +235,7 @@ def resumable_tin_tiles(points_ds, out_dir: str, key_col: str = "tile_id"):
     return resumable_tiles(
         points_ds,
         out_dir,
-        lambda pending: tin_tiles(pending, include_rasters=True, key_col=key_col),
+        tile_rasterizer(key_col),
         pending_key_col=key_col,
         done_translate=done_translate,
     )
@@ -241,9 +245,9 @@ def resumable_burned_tiles(features_by_tile_ds, out_dir: str):
     """Checkpointed J3 raster burn: features (already exploded/keyed
     by tile) -> per-tile burned raster, each tile committed
     atomically; resume skips burned tiles."""
-    from ..stages.pip_join import burned_tiles
+    from ..stages.pip_join import burn_tile
 
-    return resumable_tiles(features_by_tile_ds, out_dir, burned_tiles)
+    return resumable_tiles(features_by_tile_ds, out_dir, burn_tile)
 
 
 def resumable_salted_tin_tiles(

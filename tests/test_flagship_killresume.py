@@ -13,6 +13,14 @@ benchmark artifact measures (synth pages -> extract-check -> points
 checkpoint -> concurrent PIP join + manifest-committed per-tile TIN),
 killed with SIGKILL while tiles are streaming into the manifest.
 
+Two kills: the child's whole process group (the driver and every Ray
+process it started, as a node crash would), which must land mid-run;
+and the driver alone, whose orphaned Ray workers keep building and
+committing tiles until they notice the lost driver (~2 s), so the
+resume starts from whatever they left; Ray's node agents outlive them
+and are killed once the workers are gone. Both wait until no process
+of the group is left before reading the manifest.
+
 Scale note: the suite runs the child at GRAFT_KILLTEST_DOCS
 (default 300k) on 4 cpus so the test stays ~1 min; the identical
 protocol at 12M docs / 32 cpus is recorded in BASELINE.md (the
@@ -21,6 +29,7 @@ manifest path is doc-count-independent — one row per tile).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -66,25 +75,60 @@ def _manifest_state(out_dir: str) -> dict[str, tuple]:
     return state
 
 
-def test_flagship_sigkill_then_resume_skips_committed_tiles(tmp_path):
-    clean_dir = str(tmp_path / "clean")
-    kill_dir = str(tmp_path / "killed")
+def _group_alive(pgid: int, workers_only: bool = False) -> list[int]:
+    """Pids of the live (not zombie) processes in process group
+    ``pgid``, read from /proc; with ``workers_only``, just the Ray
+    worker processes (the ones that run tasks and commit tiles)."""
+    alive = []
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state, _ppid, pgrp = f.read().rsplit(")", 1)[1].split()[:3]
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                cmd = f.read()
+        except OSError:
+            continue
+        if int(pgrp) != pgid or state == "Z":
+            continue
+        if not workers_only or cmd.startswith(b"ray::") or b"default_worker.py" in cmd:
+            alive.append(int(pid))
+    return alive
 
-    # 1. uninterrupted reference run: learns the tile universe and
-    #    the clean wall time
+
+def _wait_gone(pgid: int, workers_only: bool = False, timeout_s: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while _group_alive(pgid, workers_only) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert _group_alive(pgid, workers_only) == [], "processes of the killed run outlived the wait"
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """An uninterrupted reference run: the tile universe, the per-tile
+    content hashes and the clean wall time."""
+    clean_dir = str(tmp_path_factory.mktemp("clean") / "out")
     clean = _run_child(clean_dir)
     clean_state = _manifest_state(clean_dir)
     assert clean["n_tiles"] == len(clean_state) > 20
+    yield clean, clean_state
+    shutil.rmtree(clean_dir, ignore_errors=True)
 
-    # 2. second run, SIGKILLed once ~40% of the tiles have committed
-    #    manifest rows (polling the manifest dir — the same signal a
-    #    resumed driver uses)
-    target = max(5, int(0.4 * clean["n_tiles"]))
+
+def _kill_mid_tin(kill_dir: str, n_tiles: int, whole_group: bool) -> None:
+    """Run the flagship in its own process group and SIGKILL it once
+    ~40% of the tiles have committed manifest rows (polling the
+    manifest dir — the same signal a resumed driver uses): the whole
+    group, or the driver only. Returns once no process of the group
+    is left."""
+    target = max(5, int(0.4 * n_tiles))
     mdir = os.path.join(kill_dir, "_manifest")
     proc = subprocess.Popen(
         [sys.executable, CHILD, kill_dir, str(N_DOCS), str(N_CPUS)],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     deadline = time.monotonic() + 600
     n_seen = 0
@@ -99,22 +143,30 @@ def test_flagship_sigkill_then_resume_skips_committed_tiles(tmp_path):
                 break
         time.sleep(0.05)
     if proc.poll() is None:
-        os.kill(proc.pid, signal.SIGKILL)
+        if not whole_group:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            # the orphaned workers commit until they exit; Ray's node
+            # agents outlive them, commit nothing and are killed next
+            _wait_gone(proc.pid, workers_only=True)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
-        # give the child's ray workers a beat to die before relaunch
-        time.sleep(2.0)
+        _wait_gone(proc.pid)
     else:
         pytest.fail(
             f"child finished before the kill threshold ({n_seen}/{target} "
             "tiles) — lower the threshold or raise GRAFT_KILLTEST_DOCS"
         )
 
-    pre = _manifest_state(kill_dir)
-    assert 0 < len(pre) < clean["n_tiles"], "kill landed outside mid-run"
 
-    # 3. resume: must complete the tile set WITHOUT touching any
-    #    committed tile (mtime_ns equality = the file was never
-    #    rewritten, not merely rewritten with equal bytes)
+def _resume_and_check(kill_dir: str, pre: dict, clean_run) -> dict:
+    """Resume the killed run and assert it completes the tile set
+    WITHOUT touching any committed tile (mtime_ns equality = the file
+    was never rewritten, not merely rewritten with equal bytes), and
+    that its output equals the clean run's tile for tile (the content
+    hash covers every buffer of every column)."""
+    clean, clean_state = clean_run
     resumed = _run_child(kill_dir, resume=True)
     post = _manifest_state(kill_dir)
     assert len(post) == clean["n_tiles"]
@@ -122,21 +174,41 @@ def test_flagship_sigkill_then_resume_skips_committed_tiles(tmp_path):
         assert post[key][0] == chash, f"tile {key} content changed on resume"
         assert post[key][1] == m_mtime, f"tile {key} manifest rewritten on resume"
         assert post[key][2] == t_mtime, f"tile {key} output recomputed on resume"
-
-    # 4. resumed output == clean output, tile for tile (content hash
-    #    covers every buffer of every column)
     assert set(post) == set(clean_state)
     mismatched = [k for k in post if post[k][0] != clean_state[k][0]]
     assert not mismatched, f"tiles differ from clean run: {mismatched[:5]}"
+    return resumed
 
-    # 5. evidence for the artifact: resume wall vs clean wall (noisy
-    #    shared host — recorded, not asserted)
+
+def test_flagship_sigkill_then_resume_skips_committed_tiles(tmp_path, clean_run):
+    clean = clean_run[0]
+    kill_dir = str(tmp_path / "killed")
+    _kill_mid_tin(kill_dir, clean["n_tiles"], whole_group=True)
+    pre = _manifest_state(kill_dir)
+    assert 0 < len(pre) < clean["n_tiles"], "kill landed outside mid-run"
+
+    resumed = _resume_and_check(kill_dir, pre, clean_run)
+
+    # evidence for the artifact: resume wall vs clean wall (noisy
+    # shared host — recorded, not asserted)
     saved = round(clean["wall_s"] - resumed["wall_s"], 2)
     print(
         f"\nkill-resume: clean {clean['wall_s']}s, killed at "
         f"{len(pre)}/{clean['n_tiles']} tiles, resume {resumed['wall_s']}s "
         f"(saved {saved}s)"
     )
+    shutil.rmtree(kill_dir, ignore_errors=True)
 
-    shutil.rmtree(clean_dir, ignore_errors=True)
+
+def test_flagship_driver_sigkill_then_resume_completes(tmp_path, clean_run):
+    """A driver-only kill: the orphaned workers may commit more tiles,
+    or all of them, after the kill; the resume keeps every tile they
+    committed and completes the rest, equal to the clean run."""
+    clean = clean_run[0]
+    kill_dir = str(tmp_path / "killed")
+    _kill_mid_tin(kill_dir, clean["n_tiles"], whole_group=False)
+    pre = _manifest_state(kill_dir)
+    assert len(pre) >= max(5, int(0.4 * clean["n_tiles"]))
+
+    _resume_and_check(kill_dir, pre, clean_run)
     shutil.rmtree(kill_dir, ignore_errors=True)

@@ -6,7 +6,8 @@ near-degenerate inputs, with and without locked cells, on rasters that
 clip the triangles. Also: the fallback to numpy/Python when the
 library cannot be built, the pinned bytes of ``rasterize_tile`` on the
 benchmark's seed-7 tiles on both kernel paths, and that importing the
-TIN modules builds nothing. No Ray."""
+TIN modules builds nothing, and that the numpy probe's bounded
+slices give the C probe's output. No Ray."""
 
 import hashlib
 import logging
@@ -14,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,6 +184,29 @@ def test_c_kernels_equal_numpy_large(kind):
     """Tile-sized inputs, indexed at the fine grid's 100 x 100 cells as
     a 1 km tile is at 10 m."""
     _assert_kernels_equal(_surface(*_points(kind, 20_000, 11), RASTERS["fine"]), 11)
+
+
+@needs_gcc
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.integers(min_value=3, max_value=400),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=64),
+)
+def test_sliced_numpy_probe_equals_c(kind, n, seed, pairs):
+    """The numpy probe expands at most ``PROBE_PAIRS`` (point,
+    candidate) pairs at once; with a tiny bound (points with more
+    candidates than the bound go alone) it still equals the C probe."""
+    tri = _surface(*_points(kind, n, seed))
+    if tri is None:
+        return
+    xs, ys = _probes(tri, seed, n_max=300)
+    c = T._probe_c(_lib(), tri, xs, ys)
+    with mock.patch.object(T, "PROBE_PAIRS", pairs), np.errstate(divide="ignore", invalid="ignore"):
+        h, cls = T._probe_np(tri, xs, ys)
+    assert np.array_equal(c[0], h, equal_nan=True), "heights"
+    assert np.array_equal(c[1], cls), "classes"
 
 
 @needs_gcc

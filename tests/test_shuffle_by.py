@@ -11,10 +11,24 @@
   per-stage hashes did, and a two-column int key as the earlier
   distinct-pair hash, so bucket assignment (and with it the flagship
   TIN's partitioning) is unchanged.
+- The exchange partitions on boundaries fixed on the driver: no
+  boundary-sampling pass runs at 1 bucket or at 7, and the sort makes
+  one reducer per bucket id (two at 1 bucket), not one per input
+  block.
+- ``fn`` is never called with an empty frame, also with more buckets
+  than keys; over skewed keys (one key holding 90% of the rows) each
+  key arrives in exactly one call and each call holds one bucket id.
+- Past one bucket per CPU, the bucket count keeps each bucket within
+  Ray Data's target block size, sized from the plan's sources before
+  anything runs; with the target cut to a sixth of the input, a
+  shuffle makes at least six calls and still delivers each key whole.
 """
 
 import os
+import re
 import sys
+import uuid
+from unittest import mock
 
 import duckdb
 import numpy as np
@@ -162,3 +176,109 @@ def test_single_and_pair_hashes_are_unchanged(ints, strs, n):
     h = a.astype(np.uint64) * mix_a ^ b.astype(np.uint64) * mix_b
     want_pair = ((h >> np.uint64(33)) % np.uint64(n)).astype(np.int64)
     np.testing.assert_array_equal(key_buckets(pa.table({"a": a, "b": b}), ["a", "b"], n), want_pair)
+
+
+def _blocks(df: pd.DataFrame, n_blocks: int = 5):
+    import ray.data as rd
+
+    cuts = np.linspace(0, len(df), n_blocks + 1).astype(int)
+    return rd.from_pandas([df.iloc[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_exchange_runs_no_sample_pass(ray_session, monkeypatch, n):
+    from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
+
+    from lasutility_ray.stages import cogroup
+
+    sampled = []
+    sample = SortTaskSpec.sample_boundaries
+
+    def spy(*args, **kwargs):
+        sampled.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(SortTaskSpec, "sample_boundaries", staticmethod(spy))
+    df = pd.DataFrame({"k": np.arange(1000) % 13, "v": np.arange(1000)})
+    _blocks(df).sort("k").materialize()
+    assert sampled, "the spy sees Ray's sampled sort"
+    sampled.clear()
+
+    monkeypatch.setattr(cogroup, "default_n_buckets", lambda: n)
+    out = cogroup.shuffle_by(_blocks(df), "k", lambda g: g).materialize()
+    assert sampled == []
+    # a sampled sort makes one reducer per input block (5 here)
+    stats = out.stats()
+    assert re.search(rf"SortReduce: \d+ tasks executed, {max(n, 2)} blocks produced", stats), stats
+    assert len(out.to_pandas()) == len(df)
+
+
+def _calls(df: pd.DataFrame, n: int, key: str = "k") -> pd.DataFrame:
+    """One row per (``fn`` call, key): the call's id, its row count,
+    the key's rows in it and the number of bucket ids it holds."""
+    from lasutility_ray.stages import cogroup
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        buckets = cogroup.key_buckets(pa.Table.from_pandas(g, preserve_index=False), key, n)
+        per_key = g.groupby(key, sort=False).size()
+        return pd.DataFrame(
+            {
+                "call": uuid.uuid4().hex,
+                "call_rows": len(g),
+                key: per_key.index.to_numpy(),
+                "rows": per_key.to_numpy(),
+                "bucket_ids": len(np.unique(buckets)),
+            }
+        )
+
+    with mock.patch.object(cogroup, "default_n_buckets", lambda: n):
+        return cogroup.shuffle_by(_blocks(df), key, fn).to_pandas()
+
+
+def test_more_buckets_than_keys_never_calls_fn_empty(ray_session):
+    df = pd.DataFrame({"k": np.array([3, 11] * 50, np.int64), "v": np.arange(100)})
+    calls = _calls(df, 16)
+    assert (calls["call_rows"] > 0).all()
+    assert calls["rows"].sum() == len(df)
+    assert sorted(calls["k"]) == [3, 11]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(INTS, min_size=1, max_size=12), INTS, st.sampled_from([1, 3, 7]))
+def test_skewed_keys_arrive_whole_in_one_bucket_call(ray_session, minor, hot, n):
+    keys = np.array(minor + [hot] * (9 * len(minor)), np.int64)
+    df = pd.DataFrame({"k": keys, "v": np.arange(len(keys))})
+    calls = _calls(df, n)
+    assert (calls["call_rows"] > 0).all()
+    assert (calls["bucket_ids"] == 1).all()
+    assert (calls.groupby("k")["call"].nunique() == 1).all()
+    want = df.groupby("k").size()
+    got = calls.groupby("k")["rows"].sum()
+    pd.testing.assert_series_equal(got.sort_index(), want.sort_index(), check_names=False)
+
+
+def test_bucket_count_keeps_buckets_within_the_target_block_size(ray_session, monkeypatch):
+    from ray.data import DataContext
+
+    from lasutility_ray.stages import cogroup
+
+    df = pd.DataFrame({"k": np.arange(20_000) % 97, "v": np.arange(20_000)})
+    size = cogroup._source_bytes([_blocks(df)])
+    assert size >= df.memory_usage(index=False).sum()
+    monkeypatch.setattr(cogroup, "default_n_buckets", lambda: 1)
+    assert cogroup.n_buckets_for(_blocks(df)) == 1
+
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", size // 6)
+    n = cogroup.n_buckets_for(_blocks(df))
+    assert n >= 6
+    # a two-sided shuffle sizes both inputs
+    assert cogroup.n_buckets_for(_blocks(df), _blocks(df)) >= 2 * n - 1
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        per_key = g.groupby("k").size()
+        return pd.DataFrame({"call": uuid.uuid4().hex, "k": per_key.index, "rows": per_key.to_numpy()})
+
+    calls = cogroup.shuffle_by(_blocks(df), "k", fn).to_pandas()
+    assert calls["call"].nunique() == n
+    assert (calls.groupby("k")["call"].nunique() == 1).all()
+    assert calls.set_index("k")["rows"].sort_index().tolist() == df.groupby("k").size().tolist()

@@ -23,7 +23,9 @@
   ``cogroup.shuffle_by``'s key hash.
 - A fifth AST guard fails on any hash-bucket shuffle outside
   ``cogroup.shuffle_by``: a reference to the bucket hashes or the
-  bucket count, or a ``groupby(<bucket column>).map_groups``.
+  bucket count, or a ``groupby(<bucket column>).map_groups``. Inside
+  cogroup.py it fails on any ``groupby`` of the bucket column and on
+  any ``sort``/``repartition`` outside the one exchange, ``_exchange``.
 """
 
 import ast
@@ -356,6 +358,34 @@ BUCKET_HASHES = {"_bucket_of", "_str_bucket_of"}
 BUCKET_COLUMNS = {"__b", "__bucket", "bucket", "__gab_bucket"}
 
 
+# the all-to-all calls cogroup.py may make only inside ``_exchange``
+EXCHANGE_CALLS = {"sort", "repartition"}
+
+
+def _cogroup_exchange_sites(repo: str = REPO) -> list[tuple[str, int, str]]:
+    """(file, line, what) of every exchange in cogroup.py besides the
+    one in ``_exchange``: a ``groupby`` of the bucket column (literal
+    or ``_BUCKET``) anywhere, a ``sort``/``repartition`` elsewhere."""
+    with open(os.path.join(repo, COGROUP)) as f:
+        tree = ast.parse(f.read())
+    sites = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            what, arg = node.func.attr, node.args[0] if node.args else None
+            bucket_arg = (isinstance(arg, ast.Constant) and arg.value in BUCKET_COLUMNS) or (
+                isinstance(arg, ast.Name) and arg.id == "_BUCKET"
+            )
+            if (what == "groupby" and bucket_arg) or (
+                what in EXCHANGE_CALLS and fn.name != "_exchange"
+            ):
+                sites.append((COGROUP, node.lineno, f"{fn.name}(): .{what}"))
+    return sites
+
+
 def _bucket_shuffle_sites(repo: str = REPO) -> list[tuple[str, int, str]]:
     """(file, line, what) of every hash-bucket shuffle written outside
     ``cogroup.shuffle_by``: a reference to ``_bucket_of`` or
@@ -399,7 +429,7 @@ def _bucket_shuffle_sites(repo: str = REPO) -> list[tuple[str, int, str]]:
 
 
 def test_bucket_shuffles_go_through_shuffle_by():
-    sites = _bucket_shuffle_sites()
+    sites = _bucket_shuffle_sites() + _cogroup_exchange_sites()
     assert sites == [], (
         "hash-bucket shuffles outside cogroup.shuffle_by:\n"
         + "\n".join(f"  {f}:{line} {what}" for f, line, what in sites)

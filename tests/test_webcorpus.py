@@ -180,26 +180,25 @@ def test_semi_anti_lookup_join(ray_session):
         lookup_join(left, right, "k", "id", {}, how="left")
 
 
-def test_canonicalize_urls():
-    from lasutility_ray.stages.webcorpus import canonicalize_urls
+def test_canonicalize_urls(ray_session):
+    from lasutility_ray.stages.urlnorm import canonicalize_urls
 
-    raw = pd.Series(
-        [
-            "HTTPS://Example.COM:443/Path?q=1#frag",
-            "http://example.com:80",
-            "http://example.com:8080/x",
-            "https://example.com/a?",
-            "ftp://Host/Z",
-            "not a url",
-        ]
-    )
-    out = canonicalize_urls(raw).tolist()
+    raw = [
+        "HTTPS://Example.COM:443/Path?q=1#frag",
+        "http://example.com:80",
+        "http://example.com:8080/x",
+        "https://example.com/a?",
+        "ftp://Host/Z",
+        "not a url",
+    ]
+    ds = rd.from_pandas(pd.DataFrame({"doc_id": range(len(raw)), "url": raw}))
+    out = canonicalize_urls(ds).to_pandas().sort_values("doc_id")["canon_url"].tolist()
     assert out == [
-        "https://example.com/Path?q=1",  # scheme+host lowered, :443 stripped, frag dropped
-        "http://example.com/",  # default port stripped, path added
+        "https://example.com:443/Path?q=1",  # scheme+host lowered, frag dropped, port kept
+        "http://example.com:80",  # a default port is kept, no path added
         "http://example.com:8080/x",  # non-default port kept
         "https://example.com/a",  # empty query dropped
-        "ftp://host/Z",  # unknown scheme: no port rule, path case kept
+        "ftp://host/Z",  # any scheme: host lowered, path case kept
         "not a url",  # passthrough
     ]
 
@@ -282,17 +281,23 @@ class _EagerDataset:
         assert batch_format == "pyarrow"
         return _EagerDataset(fn(self.table))
 
-    def groupby(self, key):
-        return _EagerGroups(self.table, key)
+    def sort(self, key, boundaries):
+        # one block per range between consecutive boundaries
+        col = self.table.column(key).to_numpy()
+        part = np.searchsorted(np.asarray(boundaries), col, side="right")
+        return _EagerBlocks(
+            [self.table.filter(pa.array(part == i)) for i in range(len(boundaries) + 1)]
+        )
 
 
-class _EagerGroups:
-    def __init__(self, table: pa.Table, key: str):
-        self.table, self.key = table, key
+class _EagerBlocks:
+    def __init__(self, blocks: list[pa.Table]):
+        self.blocks = blocks
 
-    def map_groups(self, fn, batch_format):
-        assert batch_format == "pandas"
-        outs = [fn(g) for _, g in self.table.to_pandas().groupby(self.key)]
+    def map_batches(self, fn, batch_size, batch_format):
+        assert batch_size is None and batch_format == "pandas"
+        # as in Ray, no batch function runs on an empty block
+        outs = [fn(b.to_pandas()) for b in self.blocks if b.num_rows]
         return _EagerDataset(
             pa.Table.from_pandas(pd.concat(outs, ignore_index=True), preserve_index=False)
         )
@@ -307,11 +312,13 @@ def test_line_dedup_bucket_count_fixed_once(monkeypatch):
 
     calls = []
 
-    def counting_n_buckets(minimum: int = cogroup.N_BUCKETS) -> int:
-        calls.append(minimum)
+    def counting_n_buckets() -> int:
+        calls.append(1)
         return 3
 
     monkeypatch.setattr(cogroup, "default_n_buckets", counting_n_buckets)
+    # the fake has no Ray plan to size; its four docs add no bucket
+    monkeypatch.setattr(cogroup, "_source_bytes", lambda datasets: 0)
 
     docs = _EagerDataset(
         pa.table(

@@ -14,6 +14,7 @@ Usage: python tools/flagship_child.py OUT_DIR N_DOCS NUM_CPUS [--resume]
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -34,7 +35,7 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from bench import run_flagship
 
     t0 = time.perf_counter()
